@@ -23,7 +23,14 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .model import AptmineError, AtomId, Thread, iter_mask_times, low_time_mask
-from .stats import AptRule, RuleStats, evaluate_rule, rule_sort_key
+from .stats import (
+    NO_OCCURRENCE,
+    AptRule,
+    RuleStats,
+    evaluate_rule,
+    precondition_counts,
+    rule_sort_key,
+)
 
 _BLOCK_ROWS = 512  # row-chunk size for the pairwise count products
 
@@ -68,32 +75,20 @@ def related(thread: Thread, r: AptRule, r2: AptRule) -> bool:
         raise ValueError("relatedness is defined for distinct rules")
     if r.consequence != r2.consequence:
         return False
-    horizon = low_time_mask(thread.t_max - 1)
-    both = (
-        thread.times_mask(r.precondition.atoms)
-        & thread.times_mask(r2.precondition.atoms)
-        & horizon
-    )
-    return bool(both & (thread.time_mask(r.consequence) >> 1))
+    both = thread.times_mask(r.precondition.atoms) & thread.times_mask(r2.precondition.atoms)
+    return precondition_counts(thread, both, r.consequence).hits > 0
 
 
 def pair_probs(thread: Thread, r: AptRule, r2: AptRule) -> PairProbs:
     """p_both and p_notfirst for a related pair; raises if unrelated."""
     if not related(thread, r, r2):
         raise UnrelatedRulesError(f"rules {r} and {r2} are not related on this thread")
-    horizon = low_time_mask(thread.t_max - 1)
-    first = thread.times_mask(r.precondition.atoms) & horizon
-    second = thread.times_mask(r2.precondition.atoms) & horizon
-    goal_next = thread.time_mask(r.consequence) >> 1
-
-    both = first & second
-    p_both = (both & goal_next).bit_count() / both.bit_count()
-
-    only_second = second & ~first
-    denominator = only_second.bit_count()
-    if denominator == 0:
+    first = thread.times_mask(r.precondition.atoms)
+    second = thread.times_mask(r2.precondition.atoms)
+    p_both = precondition_counts(thread, first & second, r.consequence).p
+    p_notfirst = precondition_counts(thread, second & ~first, r.consequence).p
+    if p_notfirst is NO_OCCURRENCE:
         return PairProbs(p_both, 0.0, True)
-    p_notfirst = (only_second & goal_next).bit_count() / denominator
     return PairProbs(p_both, p_notfirst, False)
 
 

@@ -24,6 +24,7 @@ from .formats import (
     save_rules,
     save_scored,
     save_thread,
+    write_atomic,
 )
 from .ingestion import (
     THEATERS,
@@ -117,8 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
     mine.add_argument("--max-dim", type=_positive_int, default=3)
     mine.add_argument("--supp-lb", type=_positive_int, default=3)
     mine.add_argument("--min-prob", type=float, default=0.5)
-    mine.add_argument("--threads", type=_positive_int, default=1,
-                      help="parallelism cap (the engine is sequential)")
     mine.set_defaults(func=_cmd_mine)
 
     compare = sub.add_parser("compare", help="rules + thread -> scored rules file")
@@ -126,8 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("thread", type=Path)
     compare.add_argument("--out", type=Path, required=True)
     compare.add_argument("--k", type=_parse_k, default=None, help="top-k per consequence, or 'all'")
-    compare.add_argument("--threads", type=_positive_int, default=1,
-                         help="parallelism cap (the engine is sequential)")
     compare.set_defaults(func=_cmd_compare)
 
     report = sub.add_parser("report", help="scored rules file -> readable table")
@@ -271,8 +268,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if args.out is None:
         sys.stdout.write(text)
     else:
-        from .formats import write_atomic
-
         write_atomic(args.out, text)
         print(f"wrote report -> {args.out}")
     return 0

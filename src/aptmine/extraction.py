@@ -28,16 +28,14 @@ from .model import (
     FrozenRegistryError,
     Thread,
     iter_mask_times,
-    low_time_mask,
 )
 from .stats import (
     NO_OCCURRENCE,
     AptRule,
     RuleStats,
-    negative_probability,
+    precondition_counts,
     prior,
-    rule_probability,
-    support,
+    qualifying_times,
 )
 
 
@@ -114,31 +112,28 @@ def candidate_preconditions(
     consequence: AtomId,
     params: ExtractParams,
     frequent: frozenset[AtomId],
-) -> set[Conjunction]:
-    """Candidate preconditions for one consequence, deduplicated.
+) -> list[tuple[AtomId, ...]]:
+    """Candidate preconditions for one consequence, as sorted atom-id tuples.
 
     Candidates are the non-empty subsets, up to max_dim atoms, of the
     frequent environmental atoms active at some time point whose successor
     world contains the consequence.  The consequence itself is excluded
-    from the pool.
+    from the pool.  Each candidate appears once, and the list is sorted.
     """
-    goal_mask = thread.time_mask(consequence)
-    if goal_mask == 0:
+    if not thread.time_mask(consequence):
         raise EmptyConsequenceError(f"consequence atom {consequence} never occurs in the thread")
-    pool = sorted(frequent - {consequence})
-    qualifying = (goal_mask >> 1) & low_time_mask(thread.t_max - 1)
+    pool = frequent - {consequence}
     combos: set[tuple[AtomId, ...]] = set()
     seen_active: set[tuple[AtomId, ...]] = set()
-    for t in iter_mask_times(qualifying):
-        bit = 1 << (t - 1)
-        active = tuple(a for a in pool if thread.time_mask(a) & bit)
+    for t in iter_mask_times(qualifying_times(thread, consequence)):
+        active = tuple(sorted(thread.world(t) & pool))
         if not active or active in seen_active:
             continue
         seen_active.add(active)
         top = min(params.max_dim, len(active))
         for m in range(1, top + 1):
             combos.update(combinations(active, m))
-    return {Conjunction(c) for c in combos}
+    return sorted(combos)
 
 
 def pf_rule_extract(
@@ -162,26 +157,24 @@ def pf_rule_extract(
         active_env_counts.append(len(world & env))
         candidate_atom_counts.append(len(world & frequent))
 
-    horizon = low_time_mask(thread.t_max - 1)
     consequences = sorted(a for a in registry.action_set if thread.time_mask(a))
-    pairs = sum(((thread.time_mask(g) >> 1) & horizon).bit_count() for g in consequences)
+    pairs = sum(qualifying_times(thread, g).bit_count() for g in consequences)
 
     rules: list[tuple[AptRule, RuleStats]] = []
     explored = 0
     for g in consequences:
         rho = prior(thread, Atom(g))
-        for c in sorted(candidate_preconditions(thread, g, params, frequent)):
+        for atoms in candidate_preconditions(thread, g, params, frequent):
             explored += 1
-            p = rule_probability(thread, c, g)
+            counts = precondition_counts(thread, thread.times_mask(atoms), g)
+            p = counts.p
             if p is NO_OCCURRENCE:
                 # Unreachable for generated candidates (each occurs at a
                 # qualifying t <= t_max - 1), kept as an honest guard.
                 continue
-            s = support(thread, c)
-            if s >= params.supp_lb and p > rho and p >= params.min_prob:
-                rule = AptRule(c, g)
-                stats = RuleStats(p, negative_probability(thread, c, g), rho, s)
-                rules.append((rule, stats))
+            if counts.support >= params.supp_lb and p > rho and p >= params.min_prob:
+                rule = AptRule(Conjunction(atoms), g)
+                rules.append((rule, RuleStats(p, counts.p_star, rho, counts.support)))
 
     return ExtractionReport(
         rules=tuple(rules),

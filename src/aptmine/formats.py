@@ -128,8 +128,11 @@ def load_thread(path: str | Path) -> tuple[Thread, AtomRegistry, dict[str, str]]
     if len(body) != t_max:
         raise FormatError(f"{path}: expected {t_max} period lines, found {len(body)}")
     worlds = []
-    for line in body:
-        members = [int(tok) for tok in line.split()] if line else []
+    for lineno, line in enumerate(body, start=5 + n_atoms):
+        try:
+            members = [int(tok) for tok in line.split()]
+        except ValueError:
+            raise FormatError(f"{path}:{lineno}: period atom ids must be integers, got {line!r}")
         for member in members:
             if not 0 <= member < n_atoms:
                 raise FormatError(f"{path}: period references unknown atom id {member}")

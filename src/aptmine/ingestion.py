@@ -77,16 +77,11 @@ class CorpusConfig:
     spike_config: SpikeConfig = SpikeConfig()
     spike_series: tuple[SeriesSpec, ...] | None = None
     spike_theaters: tuple[str, ...] = (*THEATERS, TOTAL_THEATER)
-    action_atom_rule: str = "spikes"
     known_predicates: frozenset[str] | None = None
 
     def __post_init__(self) -> None:
         if self.period_days < 1:
             raise ValueError(f"period_days must be at least 1, got {self.period_days}")
-        if self.action_atom_rule != "spikes":
-            raise ValueError(
-                f"unsupported action_atom_rule {self.action_atom_rule!r}; only 'spikes' exists"
-            )
         for theater in self.location_map.values():
             if theater not in THEATERS:
                 raise ValueError(f"location map theater must be one of {THEATERS}, got {theater!r}")
@@ -113,6 +108,13 @@ class BuiltCorpus:
 _RESERVED_CHARS = set("(),\t\n\r")
 
 
+def _text_stream(source: BinaryIO | io.TextIOBase) -> io.TextIOBase:
+    """A binary stream decoded as UTF-8 text for the csv module; text passes through."""
+    if isinstance(source, (io.RawIOBase, io.BufferedIOBase)) or "b" in getattr(source, "mode", ""):
+        return io.TextIOWrapper(source, encoding="utf-8", newline="")
+    return source
+
+
 def parse_events(
     source: BinaryIO | io.TextIOBase, config: CorpusConfig
 ) -> tuple[list[EventRecord], list[Reject]]:
@@ -121,13 +123,7 @@ def parse_events(
     Returns the parsed records and the rejects.  Raises FormatError only
     for a missing or malformed header; every bad row becomes a reject.
     """
-    if isinstance(source, (io.RawIOBase, io.BufferedIOBase)) or (
-        hasattr(source, "mode") and "b" in getattr(source, "mode", "")
-    ):
-        text = io.TextIOWrapper(source, encoding="utf-8", newline="")
-    else:
-        text = source
-    reader = csv.reader(text)
+    reader = csv.reader(_text_stream(source))
     try:
         header = next(reader)
     except StopIteration:
@@ -173,14 +169,8 @@ def parse_events(
 
 def load_location_map(source: BinaryIO | io.TextIOBase) -> dict[str, str]:
     """Read a ``city,theater`` file; theater must be Iraq or Syria."""
-    if isinstance(source, (io.RawIOBase, io.BufferedIOBase)) or (
-        hasattr(source, "mode") and "b" in getattr(source, "mode", "")
-    ):
-        text = io.TextIOWrapper(source, encoding="utf-8", newline="")
-    else:
-        text = source
     mapping: dict[str, str] = {}
-    for line, row in enumerate(csv.reader(text), start=1):
+    for line, row in enumerate(csv.reader(_text_stream(source)), start=1):
         if not row:
             continue
         if len(row) != 2:

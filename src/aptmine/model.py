@@ -305,15 +305,7 @@ class Thread:
 
     def occurrences(self, atom_id: AtomId) -> tuple[int, ...]:
         """Sorted times at which the atom holds."""
-        mask = self._masks.get(atom_id, 0)
-        out = []
-        t = 0
-        while mask:
-            low = mask & -mask
-            t = low.bit_length()
-            out.append(t)
-            mask &= mask - 1
-        return tuple(out)
+        return tuple(iter_mask_times(self._masks.get(atom_id, 0)))
 
     def occurring_atoms(self) -> tuple[AtomId, ...]:
         """Sorted ids of atoms that occur at least once."""

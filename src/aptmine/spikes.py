@@ -10,6 +10,7 @@ threshold also clears 1.0 and yields both emissions.
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass
 
@@ -30,8 +31,8 @@ class SpikeConfig:
             raise ValueError(f"window must be at least 1, got {self.window}")
         if not self.thresholds:
             raise ValueError("at least one threshold is required")
-        if any(k <= 0 for k in self.thresholds):
-            raise ValueError(f"thresholds must be positive, got {self.thresholds}")
+        if not all(0 < k < math.inf for k in self.thresholds):
+            raise ValueError(f"thresholds must be positive and finite, got {self.thresholds}")
         if tuple(sorted(set(self.thresholds))) != self.thresholds:
             raise ValueError(f"thresholds must be strictly ascending, got {self.thresholds}")
 

@@ -11,11 +11,15 @@ Conventions, fixed here and mirrored by the brute-force oracle:
 * ``support`` counts over the full range 1..t_max.
 * A statistic whose conditioning event never occurs yields NO_OCCURRENCE,
   a distinct marker, never 0.0.
+
+``precondition_counts`` applies them to an occurrence bitmask; extraction
+and the scalar scoring path count through it too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import AtomId, Atom, Conjunction, Formula, Thread, low_time_mask, satisfies
 
@@ -89,30 +93,55 @@ def prior(thread: Thread, formula: Formula) -> float:
     return hits / thread.t_max
 
 
+def qualifying_times(thread: Thread, consequence: AtomId) -> int:
+    """Bitmask of the times t <= t_max - 1 whose successor world holds the consequence."""
+    return thread.time_mask(consequence) >> 1
+
+
+class PreconditionCounts(NamedTuple):
+    """The counts behind a rule's statistics, from precondition_counts."""
+
+    support: int  # times in 1..t_max at which the precondition holds
+    fired: int  # of those, the times t <= t_max - 1, which have a successor
+    hits: int  # of those, the times whose successor world holds the consequence
+    goal: int  # occurrences of the consequence
+    unpreceded: int  # consequence occurrences not preceded by the precondition
+
+    @property
+    def p(self) -> float | NoOccurrence:
+        return self.hits / self.fired if self.fired else NO_OCCURRENCE
+
+    @property
+    def p_star(self) -> float | NoOccurrence:
+        return self.unpreceded / self.goal if self.goal else NO_OCCURRENCE
+
+
+def precondition_counts(thread: Thread, mask: int, consequence: AtomId) -> PreconditionCounts:
+    """Count a precondition, given as its occurrence bitmask, against a consequence."""
+    fired = mask & low_time_mask(thread.t_max - 1)
+    hits = (fired & qualifying_times(thread, consequence)).bit_count()
+    goal = thread.time_mask(consequence).bit_count()
+    # An occurrence at t is preceded exactly when the precondition held at
+    # t - 1 <= t_max - 1, which is one hit; an occurrence at t = 1 never is.
+    return PreconditionCounts(mask.bit_count(), fired.bit_count(), hits, goal, goal - hits)
+
+
+def _counts(thread: Thread, precondition: Conjunction, consequence: AtomId) -> PreconditionCounts:
+    return precondition_counts(thread, thread.times_mask(precondition.atoms), consequence)
+
+
 def rule_probability(
     thread: Thread, precondition: Conjunction, consequence: AtomId
 ) -> float | NoOccurrence:
     """P(consequence next | precondition now), over t in 1..t_max-1."""
-    horizon = thread.t_max - 1
-    cond = thread.times_mask(precondition.atoms) & low_time_mask(horizon)
-    denominator = cond.bit_count()
-    if denominator == 0:
-        return NO_OCCURRENCE
-    hits = (cond & (thread.time_mask(consequence) >> 1)).bit_count()
-    return hits / denominator
+    return _counts(thread, precondition, consequence).p
 
 
 def negative_probability(
     thread: Thread, precondition: Conjunction, consequence: AtomId
 ) -> float | NoOccurrence:
     """Fraction of the consequence's occurrences not preceded by the precondition."""
-    goal = thread.time_mask(consequence)
-    total = goal.bit_count()
-    if total == 0:
-        return NO_OCCURRENCE
-    preceded = thread.times_mask(precondition.atoms) << 1
-    unpreceded = (goal & ~preceded & low_time_mask(thread.t_max)).bit_count()
-    return unpreceded / total
+    return _counts(thread, precondition, consequence).p_star
 
 
 def support(thread: Thread, precondition: Conjunction) -> int:
@@ -122,9 +151,10 @@ def support(thread: Thread, precondition: Conjunction) -> int:
 
 def evaluate_rule(thread: Thread, rule: AptRule) -> RuleStats:
     """All four statistics in one bundle."""
+    counts = _counts(thread, rule.precondition, rule.consequence)
     return RuleStats(
-        p=rule_probability(thread, rule.precondition, rule.consequence),
-        p_star=negative_probability(thread, rule.precondition, rule.consequence),
+        p=counts.p,
+        p_star=counts.p_star,
         rho=prior(thread, Atom(rule.consequence)),
-        support=support(thread, rule.precondition),
+        support=counts.support,
     )

@@ -34,7 +34,7 @@ def test_version_flag():
 def test_usage_errors_exit_two(tmp_path):
     assert run().returncode == 2
     assert run("mine", tmp_path / "x.thread", "--out", tmp_path / "o", "--supp-lb", "0").returncode == 2
-    assert run("mine", tmp_path / "x.thread", "--out", tmp_path / "o", "--threads", "0").returncode == 2
+    assert run("mine", tmp_path / "x.thread", "--out", tmp_path / "o", "--max-dim", "0").returncode == 2
     assert run("compare", "r", "t", "--out", "o", "--k", "0").returncode == 2
     assert run("synth", "--out", "o", "--plant", "nonsense").returncode == 2
     assert run("ingest", tmp_path / "e.csv", "--out", "o").returncode == 2  # missing required flags
@@ -147,6 +147,13 @@ def test_ingest_writes_thread_rejects_and_counts(tmp_path):
     rejects_text = (tmp_path / "events.thread.rejects").read_text()
     assert "unparseable date" in rejects_text
     assert "unmapped location" in rejects_text
+
+    nan_path = tmp_path / "nan.thread"
+    result = run(
+        "ingest", events, "--location-map", locations, "--epoch", "2014-06-08",
+        "--out", nan_path, "--thresholds", "nan",
+    )
+    assert result.returncode == 1 and "finite" in result.stderr and not nan_path.exists()
 
 
 def test_missing_input_exits_one_without_partial_output(tmp_path):

@@ -116,6 +116,7 @@ def tampered(tmp_path, t1, mutate):
         (lambda lines: lines.__setitem__(3, "0\ta\t7"), "flag must be 0 or 1"),
         (lambda lines: lines.__setitem__(3, "5\ta\t0"), "dense and ascending"),
         (lambda lines: lines.__setitem__(7, "0 99"), "unknown atom id"),
+        (lambda lines: lines.__setitem__(7, "0 x"), r"bad\.thread:8: .*must be integers"),
         (lambda lines: lines.pop(), "period lines"),
         (lambda lines: lines.append("2"), "period lines"),
     ],

@@ -259,8 +259,6 @@ def test_sigma_label_formats():
 def test_config_validation():
     with pytest.raises(ValueError, match="period_days"):
         config(period_days=0)
-    with pytest.raises(ValueError, match="action_atom_rule"):
-        config(action_atom_rule="manual")
     with pytest.raises(ValueError, match="theater"):
         CorpusConfig(epoch=EPOCH, location_map={"Mosul": "Atlantis"})
     with pytest.raises(ValueError, match="theater"):

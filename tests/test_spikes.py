@@ -72,6 +72,9 @@ def test_spike_config_validation():
         SpikeConfig(thresholds=())
     with pytest.raises(ValueError, match="positive"):
         SpikeConfig(thresholds=(0.0, 1.0))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            SpikeConfig(thresholds=(1.0, bad))
     with pytest.raises(ValueError, match="ascending"):
         SpikeConfig(thresholds=(2.0, 1.0))
     with pytest.raises(ValueError, match="ascending"):

@@ -29,6 +29,7 @@ from aptmine.oracle import (
     exact_rule_probability,
     exact_support,
 )
+from aptmine.stats import precondition_counts
 
 from conftest import corpora
 
@@ -114,6 +115,16 @@ def test_evaluate_rule_bundles_all_four(t1):
     thread, registry, a, b, g = t1
     stats = evaluate_rule(thread, AptRule(Conjunction([b]), g))
     assert stats == RuleStats(p=2 / 3, p_star=0.0, rho=1 / 3, support=3)
+
+
+def test_precondition_counts_on_worked_example(t1):
+    thread, registry, a, b, g = t1
+    # (support, fired, hits, goal, unpreceded)
+    assert precondition_counts(thread, thread.times_mask([b]), g) == (3, 3, 2, 2, 0)
+    assert precondition_counts(thread, thread.times_mask([a, b]), g) == (1, 1, 1, 2, 1)
+    assert precondition_counts(thread, thread.times_mask([g]), a) == (2, 2, 0, 2, 2)
+    # An occurrence at t_max counts for support but never fires.
+    assert precondition_counts(Thread([{1}, set(), {0}]), 0b100, 1) == (1, 0, 0, 1, 1)
 
 
 def test_rule_rejects_consequence_in_precondition():
