@@ -26,7 +26,6 @@ from .model import (
     Thread,
     TimeIndexError,
     satisfies,
-    satisfies_conjunction,
 )
 from .stats import (
     NO_OCCURRENCE,
@@ -104,7 +103,7 @@ __all__ = [
     # model
     "AptmineError", "ArityError", "Atom", "AtomId", "AtomRegistry", "And",
     "Conjunction", "Formula", "FrozenRegistryError", "GroundAtom", "Not", "Or",
-    "Predicate", "Thread", "TimeIndexError", "satisfies", "satisfies_conjunction",
+    "Predicate", "Thread", "TimeIndexError", "satisfies",
     # stats
     "NO_OCCURRENCE", "AptRule", "NoOccurrence", "RuleStats", "evaluate_rule",
     "negative_probability", "prior", "rule_probability", "rule_sort_key", "support",

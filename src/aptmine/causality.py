@@ -7,11 +7,14 @@ eps_min and eps_frac summarize its deltas over the whole group.  When the
 second precondition never occurs without the first, p_notfirst is taken as
 0 and the pair is flagged NeverSeparated rather than dropped.
 
-Grouped scoring is vectorized: preconditions become 0/1 rows over the
-restricted time range and every pairwise count is an integer-valued matrix
-product.  Counts never exceed t_max, far below 2**53, so the float64
-arithmetic is exact and the batched path is bit-identical to the scalar
-one (causal_scores), which remains the readable reference.
+Grouped scoring is vectorized: each precondition becomes one 0/1 row built
+from its fired mask (stats.fired_times, the times with a successor world),
+and every pairwise count is an integer-valued matrix product.  Co-fired
+counts use only the qualifying columns (stats.qualifying_times, the times
+whose successor world holds the consequence).  Counts never exceed t_max,
+far below 2**53, so the float64 arithmetic is exact and the batched path
+is bit-identical to the scalar one (causal_scores), which remains the
+readable reference.
 """
 
 from __future__ import annotations
@@ -22,13 +25,15 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .model import AptmineError, AtomId, Thread, iter_mask_times, low_time_mask
+from .model import AptmineError, AtomId, Thread
 from .stats import (
     NO_OCCURRENCE,
     AptRule,
     RuleStats,
     evaluate_rule,
+    fired_times,
     precondition_counts,
+    qualifying_times,
     rule_sort_key,
 )
 
@@ -136,33 +141,34 @@ def _rank_key(sr: ScoredRule):
     return (0, -sr.eps_avg, -sr.stats.p, -sr.stats.support, sr.rule.precondition.atoms)
 
 
+def _bit_rows(masks: list[int], width: int) -> np.ndarray:
+    """0/1 uint8 matrix: row k, column t - 1 holds bit t - 1 of masks[k]."""
+    nbytes = (width + 7) // 8
+    packed = np.frombuffer(b"".join(m.to_bytes(nbytes, "little") for m in masks), dtype=np.uint8)
+    return np.unpackbits(packed.reshape(-1, nbytes), axis=1, count=width, bitorder="little")
+
+
 def _score_group(
     thread: Thread, consequence: AtomId, members: list[tuple[AptRule, RuleStats]]
 ) -> list[ScoredRule]:
-    horizon = thread.t_max - 1
-    low = low_time_mask(horizon)
     n = len(members)
-    if horizon == 0 or n == 1:
-        return [_finish(rule, stats, [], 0) for rule, stats in members]
-
-    rows = np.zeros((n, horizon), dtype=np.float64)
-    for i, (rule, _) in enumerate(members):
-        mask = thread.times_mask(rule.precondition.atoms) & low
-        for t in iter_mask_times(mask):
-            rows[i, t - 1] = 1.0
-    goal_next = np.zeros(horizon, dtype=np.float64)
-    for t in iter_mask_times((thread.time_mask(consequence) >> 1) & low):
-        goal_next[t - 1] = 1.0
-
-    fired = rows * goal_next            # precondition at t and consequence at t+1
-    hits = rows @ goal_next             # per-rule fired counts
+    fired = [fired_times(thread, thread.times_mask(rule.precondition.atoms)) for rule, _ in members]
+    rows = _bit_rows(fired, thread.t_max).astype(np.float64)
+    goal_cols = np.flatnonzero(_bit_rows([qualifying_times(thread, consequence)], thread.t_max)[0])
+    co_rows = rows[:, goal_cols]        # fired at t with the consequence at t+1
+    hits = co_rows.sum(axis=1)          # per-rule fired counts
     occur = rows.sum(axis=1)            # per-rule restricted supports
 
+    block = min(_BLOCK_ROWS, n)
+    fired_buf = np.empty((block, n))
+    occur_buf = np.empty((block, n))
     out: list[ScoredRule] = []
-    for start in range(0, n, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, n)
-        co_fired = fired[start:stop] @ rows.T   # |{t: c_i, c_j at t, g at t+1}|
-        co_occur = rows[start:stop] @ rows.T    # |{t: c_i, c_j at t}|
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        # |{t: c_i, c_j at t, g at t+1}| and |{t: c_i, c_j at t}|; the next
+        # block overwrites both buffers, so no view of them may be kept.
+        co_fired = np.matmul(co_rows[start:stop], co_rows.T, out=fired_buf[: stop - start])
+        co_occur = np.matmul(rows[start:stop], rows.T, out=occur_buf[: stop - start])
         for i in range(start, stop):
             fire_row = co_fired[i - start]
             occ_row = co_occur[i - start]

@@ -167,7 +167,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         spike_series=spike_series,
     )
     with open(args.events, "rb") as fh:
-        events, parse_rejects = parse_events(fh, config)
+        events, parse_rejects = parse_events(fh)
     corpus, build_rejects = build_corpus(events, config)
 
     params = {

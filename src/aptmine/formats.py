@@ -33,11 +33,24 @@ UNSCORED = "na"
 
 
 def write_atomic(path: str | Path, text: str) -> None:
-    """Write text to path via a temp file in the same directory."""
+    """Write text to path via a unique, fsynced temp file in the same directory.
+
+    The temp file is created exclusively under a random name, so concurrent
+    writers never share one, and with mode 0o666 so the umask applies as it
+    would to a plain write (mkstemp would make it 0o600).
+    """
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _params_line(params: Mapping[str, str]) -> str:
@@ -51,16 +64,23 @@ def _read_lines(path: str | Path, magic: str) -> tuple[list[str], dict[str, str]
     if lines and lines[-1] == "":
         lines.pop()
     if not lines or lines[0] != magic:
-        raise FormatError(f"{path}: expected first line {magic!r}")
+        raise FormatError(f"{path}:1: expected first line {magic!r}")
     if len(lines) < 2 or not lines[1].startswith("params"):
-        raise FormatError(f"{path}: expected a params line after the version line")
+        raise FormatError(f"{path}:2: expected a params line after the version line")
     params: dict[str, str] = {}
     for part in lines[1].split("\t")[1:]:
         key, sep, value = part.partition("=")
         if not sep:
-            raise FormatError(f"{path}: malformed params entry {part!r}")
+            raise FormatError(f"{path}:2: malformed params entry {part!r}")
         params[key] = value
     return lines[2:], params
+
+
+def _uint(path: str | Path, lineno: int, text: str, what: str) -> int:
+    """A non-negative integer field, written in ASCII decimal digits only."""
+    if not (text.isascii() and text.isdigit()):
+        raise FormatError(f"{path}:{lineno}: {what} must be integers in ASCII digits, got {text!r}")
+    return int(text)
 
 
 # ---------------------------------------------------------------- threads
@@ -98,57 +118,58 @@ def load_thread(path: str | Path) -> tuple[Thread, AtomRegistry, dict[str, str]]
     """Parse a thread file back into a frozen registry and thread."""
     lines, params = _read_lines(path, THREAD_MAGIC)
     if not lines or not lines[0].startswith("atoms\t"):
-        raise FormatError(f"{path}: expected an atoms section")
-    n_atoms = _parse_count(path, lines[0])
+        raise FormatError(f"{path}:3: expected an atoms section")
+    n_atoms = _parse_count(path, 3, lines[0])
     if len(lines) < 1 + n_atoms + 1:
-        raise FormatError(f"{path}: truncated atoms section")
+        raise FormatError(f"{path}:3: truncated atoms section")
     registry = AtomRegistry()
     action_ids: list[int] = []
-    for offset in range(n_atoms):
-        fields = lines[1 + offset].split("\t")
+    for lineno, line in enumerate(lines[1 : 1 + n_atoms], start=4):
+        fields = line.split("\t")
         if len(fields) < 3:
-            raise FormatError(f"{path}: malformed atom line {lines[1 + offset]!r}")
+            raise FormatError(f"{path}:{lineno}: malformed atom line {line!r}")
         declared, name, *rest = fields
         args, flag = rest[:-1], rest[-1]
         if flag not in ("0", "1"):
-            raise FormatError(f"{path}: atom flag must be 0 or 1, got {flag!r}")
-        atom_id = registry.intern(Predicate(name, len(args)), args)
+            raise FormatError(f"{path}:{lineno}: atom flag must be 0 or 1, got {flag!r}")
+        try:
+            atom_id = registry.intern(Predicate(name, len(args)), args)
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: {exc}")
         if str(atom_id) != declared:
-            raise FormatError(f"{path}: atom ids must be dense and ascending, got {declared!r}")
+            raise FormatError(
+                f"{path}:{lineno}: atom ids must be dense and ascending, got {declared!r}"
+            )
         registry.mark_env(atom_id)
         if flag == "1":
             action_ids.append(atom_id)
     for atom_id in action_ids:
         registry.mark_action(atom_id)
+    period_lineno = 4 + n_atoms
     period_line = lines[1 + n_atoms]
     if not period_line.startswith("periods\t"):
-        raise FormatError(f"{path}: expected a periods section")
-    t_max = _parse_count(path, period_line)
+        raise FormatError(f"{path}:{period_lineno}: expected a periods section")
+    t_max = _parse_count(path, period_lineno, period_line)
+    if t_max == 0:
+        raise FormatError(f"{path}:{period_lineno}: a thread must contain at least one world")
     body = lines[2 + n_atoms :]
     if len(body) != t_max:
-        raise FormatError(f"{path}: expected {t_max} period lines, found {len(body)}")
+        raise FormatError(
+            f"{path}:{period_lineno}: expected {t_max} period lines, found {len(body)}"
+        )
     worlds = []
-    for lineno, line in enumerate(body, start=5 + n_atoms):
-        try:
-            members = [int(tok) for tok in line.split()]
-        except ValueError:
-            raise FormatError(f"{path}:{lineno}: period atom ids must be integers, got {line!r}")
+    for lineno, line in enumerate(body, start=period_lineno + 1):
+        members = [_uint(path, lineno, tok, "period atom ids") for tok in line.split()]
         for member in members:
-            if not 0 <= member < n_atoms:
-                raise FormatError(f"{path}: period references unknown atom id {member}")
+            if member >= n_atoms:
+                raise FormatError(f"{path}:{lineno}: period references unknown atom id {member}")
         worlds.append(members)
     registry.freeze()
     return Thread(worlds), registry, params
 
 
-def _parse_count(path: str | Path, line: str) -> int:
-    try:
-        value = int(line.split("\t", 1)[1])
-    except (IndexError, ValueError):
-        raise FormatError(f"{path}: malformed section header {line!r}")
-    if value < 0:
-        raise FormatError(f"{path}: negative count in {line!r}")
-    return value
+def _parse_count(path: str | Path, lineno: int, line: str) -> int:
+    return _uint(path, lineno, line.partition("\t")[2], f"malformed section header {line!r}: counts")
 
 
 # ------------------------------------------------------------------ rules
@@ -197,25 +218,28 @@ def load_rules(
     lines, params = _read_lines(path, RULES_MAGIC)
     resolve = {registry.render(a): a for a in registry.ids()}
     out: list[tuple[AptRule, RuleStats]] = []
-    for line in lines:
+    for lineno, line in enumerate(lines, start=3):
         fields = line.split("\t")
         if len(fields) < 7:
-            raise FormatError(f"{path}: malformed rule line {line!r}")
+            raise FormatError(f"{path}:{lineno}: malformed rule line {line!r}")
         try:
             p, p_star, rho = (float(f) for f in fields[:3])
-            supp = int(fields[3])
-            dim = int(fields[5])
         except ValueError:
-            raise FormatError(f"{path}: malformed rule numbers in {line!r}")
+            raise FormatError(f"{path}:{lineno}: malformed rule numbers in {line!r}")
+        supp = _uint(path, lineno, fields[3], "rule counts")
+        dim = _uint(path, lineno, fields[5], "rule counts")
         atoms_text = fields[6:]
         if dim != len(atoms_text):
-            raise FormatError(f"{path}: rule dimension {dim} != {len(atoms_text)} atoms")
+            raise FormatError(f"{path}:{lineno}: rule dimension {dim} != {len(atoms_text)} atoms")
         try:
             consequence = resolve[fields[4]]
             precondition = Conjunction(resolve[a] for a in atoms_text)
         except KeyError as exc:
-            raise FormatError(f"{path}: unknown atom {exc.args[0]!r} for this thread")
-        out.append((AptRule(precondition, consequence), RuleStats(p, p_star, rho, supp)))
+            raise FormatError(f"{path}:{lineno}: unknown atom {exc.args[0]!r} for this thread")
+        try:
+            out.append((AptRule(precondition, consequence), RuleStats(p, p_star, rho, supp)))
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: {exc}")
     return out, params
 
 
@@ -284,25 +308,24 @@ def load_scored(path: str | Path) -> tuple[list[ScoredRecord], dict[str, str]]:
     """Parse a scored-rules file into renderable records (registry-free)."""
     lines, params = _read_lines(path, SCORED_MAGIC)
     out: list[ScoredRecord] = []
-    for line in lines:
+    for lineno, line in enumerate(lines, start=3):
         fields = line.split("\t")
         if len(fields) < 12:
-            raise FormatError(f"{path}: malformed scored line {line!r}")
+            raise FormatError(f"{path}:{lineno}: malformed scored line {line!r}")
         try:
             if fields[0] == UNSCORED:
                 eps_avg = eps_min = eps_frac = None
             else:
                 eps_avg, eps_min, eps_frac = (float(f) for f in fields[:3])
-            related_count = int(fields[3])
-            never_separated = int(fields[4])
             p, p_star, rho = (float(f) for f in fields[5:8])
-            supp = int(fields[8])
-            dim = int(fields[10])
         except ValueError:
-            raise FormatError(f"{path}: malformed scored numbers in {line!r}")
+            raise FormatError(f"{path}:{lineno}: malformed scored numbers in {line!r}")
+        related_count, never_separated, supp, dim = (
+            _uint(path, lineno, fields[i], "scored counts") for i in (3, 4, 8, 10)
+        )
         atoms_text = tuple(fields[11:])
         if dim != len(atoms_text):
-            raise FormatError(f"{path}: scored dimension {dim} != {len(atoms_text)} atoms")
+            raise FormatError(f"{path}:{lineno}: scored dimension {dim} != {len(atoms_text)} atoms")
         out.append(
             ScoredRecord(
                 consequence=fields[9],

@@ -76,8 +76,6 @@ class CorpusConfig:
     period_days: int = 7
     spike_config: SpikeConfig = SpikeConfig()
     spike_series: tuple[SeriesSpec, ...] | None = None
-    spike_theaters: tuple[str, ...] = (*THEATERS, TOTAL_THEATER)
-    known_predicates: frozenset[str] | None = None
 
     def __post_init__(self) -> None:
         if self.period_days < 1:
@@ -85,9 +83,6 @@ class CorpusConfig:
         for theater in self.location_map.values():
             if theater not in THEATERS:
                 raise ValueError(f"location map theater must be one of {THEATERS}, got {theater!r}")
-        for theater in self.spike_theaters:
-            if theater not in (*THEATERS, TOTAL_THEATER):
-                raise ValueError(f"unknown theater {theater!r} in spike_theaters")
         if self.spike_series is not None:
             for spec in self.spike_series:
                 for theater in spec.theaters:
@@ -115,9 +110,7 @@ def _text_stream(source: BinaryIO | io.TextIOBase) -> io.TextIOBase:
     return source
 
 
-def parse_events(
-    source: BinaryIO | io.TextIOBase, config: CorpusConfig
-) -> tuple[list[EventRecord], list[Reject]]:
+def parse_events(source: BinaryIO | io.TextIOBase) -> tuple[list[EventRecord], list[Reject]]:
     """Read the event CSV: header ``date,predicate,arg1,arg2,actor``.
 
     Returns the parsed records and the rejects.  Raises FormatError only
@@ -149,9 +142,6 @@ def parse_events(
             continue
         if not raw_pred:
             rejects.append(Reject(line, "missing predicate", ",".join(row)))
-            continue
-        if config.known_predicates is not None and raw_pred not in config.known_predicates:
-            rejects.append(Reject(line, "unknown predicate", raw_pred))
             continue
         if not raw_a1 and raw_a2:
             rejects.append(Reject(line, "gap in arguments", ",".join(row)))
@@ -197,7 +187,7 @@ def _series_specs(
     if config.spike_series is not None:
         return tuple(sorted(config.spike_series))
     return tuple(
-        SeriesSpec(p, config.spike_theaters) for p in sorted(set(observed_predicates))
+        SeriesSpec(p, (*THEATERS, TOTAL_THEATER)) for p in sorted(set(observed_predicates))
     )
 
 

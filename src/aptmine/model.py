@@ -278,12 +278,9 @@ class Thread:
     def t_max(self) -> int:
         return len(self._worlds)
 
-    def check_time(self, t: int) -> None:
+    def world(self, t: int) -> frozenset[AtomId]:
         if not isinstance(t, int) or isinstance(t, bool) or not 1 <= t <= len(self._worlds):
             raise TimeIndexError(f"time index {t!r} outside 1..{len(self._worlds)}")
-
-    def world(self, t: int) -> frozenset[AtomId]:
-        self.check_time(t)
         return self._worlds[t - 1]
 
     def time_mask(self, atom_id: AtomId) -> int:
@@ -350,10 +347,3 @@ def _eval(world: frozenset[AtomId], formula: Formula) -> bool:
 def satisfies(thread: Thread, t: int, formula: Formula) -> bool:
     """Recursive satisfaction of a formula at time t."""
     return _eval(thread.world(t), formula)
-
-
-def satisfies_conjunction(thread: Thread, t: int, conjunction: Conjunction) -> bool:
-    """Fast path for conjunctions of positive atoms; agrees with satisfies()."""
-    thread.check_time(t)
-    bit = 1 << (t - 1)
-    return all(thread.time_mask(a) & bit for a in conjunction.atoms)

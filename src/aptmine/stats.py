@@ -13,7 +13,8 @@ Conventions, fixed here and mirrored by the brute-force oracle:
   a distinct marker, never 0.0.
 
 ``precondition_counts`` applies them to an occurrence bitmask; extraction
-and the scalar scoring path count through it too.
+and the scalar scoring path count through it too, and the batched scoring
+path builds its rows from ``fired_times`` and ``qualifying_times``.
 """
 
 from __future__ import annotations
@@ -93,6 +94,11 @@ def prior(thread: Thread, formula: Formula) -> float:
     return hits / thread.t_max
 
 
+def fired_times(thread: Thread, mask: int) -> int:
+    """The times of an occurrence bitmask that have a successor world, t <= t_max - 1."""
+    return mask & low_time_mask(thread.t_max - 1)
+
+
 def qualifying_times(thread: Thread, consequence: AtomId) -> int:
     """Bitmask of the times t <= t_max - 1 whose successor world holds the consequence."""
     return thread.time_mask(consequence) >> 1
@@ -118,7 +124,7 @@ class PreconditionCounts(NamedTuple):
 
 def precondition_counts(thread: Thread, mask: int, consequence: AtomId) -> PreconditionCounts:
     """Count a precondition, given as its occurrence bitmask, against a consequence."""
-    fired = mask & low_time_mask(thread.t_max - 1)
+    fired = fired_times(thread, mask)
     hits = (fired & qualifying_times(thread, consequence)).bit_count()
     goal = thread.time_mask(consequence).bit_count()
     # An occurrence at t is preceded exactly when the precondition held at

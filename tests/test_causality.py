@@ -1,5 +1,7 @@
 """Relatedness, pairwise probabilities, group scoring, and ranking."""
 
+from collections import Counter
+
 import pytest
 
 from aptmine import (
@@ -201,11 +203,14 @@ def test_batched_path_is_bit_identical_to_scalar(seed):
             assert sr == reference  # floats compared exactly, not approximately
 
 
-def test_row_chunking_does_not_change_results(t1, monkeypatch):
-    thread, registry, a, b, g = t1
-    report = pf_rule_extract(thread, registry, ExtractParams(max_dim=2, supp_lb=1))
+@pytest.mark.parametrize("block_rows", [1, 3, 7])
+def test_row_chunking_does_not_change_results(monkeypatch, block_rows):
+    thread, registry = random_corpus(5)
+    report = pf_rule_extract(thread, registry, ExtractParams(max_dim=2, supp_lb=1, min_prob=0.25))
+    largest = max(Counter(rule.consequence for rule, _ in report.rules).values())
+    assert largest > block_rows and (block_rows == 1 or largest % block_rows)  # a partial last block
     whole = pf_rule_compare(thread, report.rules)
-    monkeypatch.setattr(causality, "_BLOCK_ROWS", 1)
+    monkeypatch.setattr(causality, "_BLOCK_ROWS", block_rows)
     chunked = pf_rule_compare(thread, report.rules)
     assert whole == chunked
 

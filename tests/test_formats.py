@@ -115,10 +115,16 @@ def tampered(tmp_path, t1, mutate):
         (lambda lines: lines.pop(3), "atom ids must be dense"),
         (lambda lines: lines.__setitem__(3, "0\ta\t7"), "flag must be 0 or 1"),
         (lambda lines: lines.__setitem__(3, "5\ta\t0"), "dense and ascending"),
+        (lambda lines: lines.__setitem__(3, "0\ta(\t0"), r"bad\.thread:4: .*reserved character"),
         (lambda lines: lines.__setitem__(7, "0 99"), "unknown atom id"),
         (lambda lines: lines.__setitem__(7, "0 x"), r"bad\.thread:8: .*must be integers"),
+        (lambda lines: lines.__setitem__(7, "0 \u0661"), r"bad\.thread:8: .*'\u0661'"),
+        (lambda lines: lines.__setitem__(7, "1_0"), r"bad\.thread:8: .*'1_0'"),
+        (lambda lines: lines.__setitem__(7, "0 +1"), r"bad\.thread:8: .*'\+1'"),
+        (lambda lines: lines.__setitem__(2, "atoms\t+3"), r"bad\.thread:3: malformed section header"),
         (lambda lines: lines.pop(), "period lines"),
         (lambda lines: lines.append("2"), "period lines"),
+        (lambda lines: lines.__setitem__(slice(6, None), ["periods\t0"]), r"bad\.thread:7: .*one world"),
     ],
 )
 def test_damaged_thread_files_raise(tmp_path, t1, mutate, message):
@@ -161,6 +167,36 @@ def test_rules_dimension_mismatch(tmp_path, t1):
     lines[2] = "\t".join(fields[:7])
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(FormatError, match="dimension"):
+        load_rules(path, registry)
+
+
+def counts_damaged(tmp_path, t1, suffix, field, text):
+    thread, registry, *_ = t1
+    report = pf_rule_extract(thread, registry, ExtractParams(max_dim=2, supp_lb=1))
+    path = tmp_path / f"bad.{suffix}"
+    if suffix == "rules":
+        save_rules(path, report.rules, registry, {})
+    else:
+        save_scored(path, pf_rule_compare(thread, report.rules), registry, {})
+    lines = path.read_text().splitlines()
+    fields = lines[2].split("\t")
+    fields[field] = text
+    lines[2] = "\t".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    return path, registry
+
+
+@pytest.mark.parametrize("text", ["\u0661", "1_0", "+1", "-1"])
+@pytest.mark.parametrize("suffix, field", [("rules", 3), ("rules", 5), ("scored", 3), ("scored", 8)])
+def test_non_decimal_counts_in_rules_and_scored_raise(tmp_path, t1, suffix, field, text):
+    path, registry = counts_damaged(tmp_path, t1, suffix, field, text)
+    with pytest.raises(FormatError, match=rf"bad\.{suffix}:3: .*must be integers"):
+        load_rules(path, registry) if suffix == "rules" else load_scored(path)
+
+
+def test_rule_stats_out_of_range_raise_with_line(tmp_path, t1):
+    path, registry = counts_damaged(tmp_path, t1, "rules", 0, "1.5")
+    with pytest.raises(FormatError, match=r"bad\.rules:3: p must lie in \[0, 1\]"):
         load_rules(path, registry)
 
 
@@ -232,7 +268,18 @@ def test_counts_and_rejects_formats():
 
 def test_write_atomic_leaves_no_temp_files(tmp_path):
     target = tmp_path / "out.txt"
+    foreign = tmp_path / "out.txt.tmp"  # another run's temp file
+    foreign.write_text("not ours\n")
     write_atomic(target, "first\n")
     write_atomic(target, "second\n")
     assert target.read_text() == "second\n"
-    assert list(tmp_path.iterdir()) == [target]
+    assert foreign.read_text() == "not ours\n"
+    assert sorted(tmp_path.iterdir()) == [target, foreign]
+    assert target.stat().st_mode == foreign.stat().st_mode  # the umask applies as to a plain write
+
+
+def test_write_atomic_removes_its_temp_file_on_failure(tmp_path):
+    target = tmp_path / "out.txt"
+    with pytest.raises(UnicodeEncodeError):
+        write_atomic(target, "\ud800")  # a lone surrogate cannot be encoded
+    assert list(tmp_path.iterdir()) == []

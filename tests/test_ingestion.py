@@ -50,7 +50,6 @@ def test_parse_happy_path():
             "2014-06-09,recon,Raqqa,,",
             "2014-06-10,ceasefire,,,",
         ),
-        config(),
     )
     assert rejects == []
     assert records == [
@@ -64,22 +63,21 @@ def test_parse_happy_path():
 
 def test_parse_accepts_binary_streams():
     raw = "date,predicate,arg1,arg2,actor\n2014-06-08,recon,Mosul,,\n"
-    from_binary, _ = parse_events(io.BytesIO(raw.encode()), config())
-    from_text, _ = parse_events(io.StringIO(raw), config())
+    from_binary, _ = parse_events(io.BytesIO(raw.encode()))
+    from_text, _ = parse_events(io.StringIO(raw))
     assert from_binary == from_text
 
 
 def test_parse_rejects_bad_header():
     with pytest.raises(FormatError, match="header"):
-        parse_events(io.StringIO("when,what,a,b,who\n"), config())
+        parse_events(io.StringIO("when,what,a,b,who\n"))
     with pytest.raises(FormatError, match="empty"):
-        parse_events(io.StringIO(""), config())
+        parse_events(io.StringIO(""))
 
 
 def test_parse_skips_blank_lines():
     records, rejects = parse_events(
         events_csv("2014-06-08,recon,Mosul,,", "", "2014-06-09,recon,Mosul,,"),
-        config(),
     )
     assert len(records) == 2 and rejects == []
 
@@ -97,7 +95,7 @@ def test_parse_skips_blank_lines():
     ],
 )
 def test_parse_rejects_bad_rows(row, reason):
-    records, rejects = parse_events(events_csv(row), config())
+    records, rejects = parse_events(events_csv(row))
     assert records == []
     assert len(rejects) == 1
     assert rejects[0].reason == reason
@@ -105,20 +103,9 @@ def test_parse_rejects_bad_rows(row, reason):
 
 
 def test_parse_reserved_char_inside_quoted_cell():
-    records, rejects = parse_events(events_csv('2014-06-08,"armed,Atk",Mosul,,'), config())
+    records, rejects = parse_events(events_csv('2014-06-08,"armed,Atk",Mosul,,'))
     assert records == []
     assert rejects[0].reason == "reserved character"
-
-
-def test_unknown_predicates_rejected_only_with_a_whitelist():
-    row = "2014-06-08,weirdEvent,Mosul,,"
-    records, rejects = parse_events(events_csv(row), config())
-    assert len(records) == 1 and rejects == []
-
-    cfg = config(known_predicates=frozenset({"armedAtk", "recon"}))
-    records, rejects = parse_events(events_csv(row), cfg)
-    assert records == []
-    assert rejects[0].reason == "unknown predicate"
 
 
 # --------------------------------------------------------------- building
@@ -261,8 +248,6 @@ def test_config_validation():
         config(period_days=0)
     with pytest.raises(ValueError, match="theater"):
         CorpusConfig(epoch=EPOCH, location_map={"Mosul": "Atlantis"})
-    with pytest.raises(ValueError, match="theater"):
-        config(spike_theaters=("Iraq", "Narnia"))
     with pytest.raises(ValueError, match="theater"):
         config(spike_series=(SeriesSpec("armedAtk", ("Narnia",)),))
 

@@ -18,7 +18,6 @@ from aptmine import (
     Thread,
     TimeIndexError,
     satisfies,
-    satisfies_conjunction,
 )
 from aptmine.model import iter_mask_times, low_time_mask
 
@@ -246,15 +245,6 @@ def test_satisfies_rejects_non_formula(t1):
         satisfies(thread, 1, "a")
 
 
-def test_satisfies_conjunction_matches_formula_form(t1):
-    thread, registry, a, b, g = t1
-    c = Conjunction([a, b])
-    for t in range(1, thread.t_max + 1):
-        assert satisfies_conjunction(thread, t, c) == satisfies(thread, t, c.as_formula())
-    with pytest.raises(TimeIndexError):
-        satisfies_conjunction(thread, 0, c)
-
-
 def formulas(n_atoms: int):
     atoms = st.builds(Atom, st.integers(min_value=0, max_value=n_atoms - 1))
     return st.recursive(
@@ -269,15 +259,14 @@ def formulas(n_atoms: int):
 
 
 @given(corpora(), st.data())
-def test_conjunction_fast_path_agrees_with_recursion(corpus, data):
+def test_conjunction_formula_holds_exactly_where_all_atoms_do(corpus, data):
     thread, registry = corpus
     atom_ids = data.draw(
         st.sets(st.integers(min_value=0, max_value=len(registry) - 1), min_size=1, max_size=4)
     )
     t = data.draw(st.integers(min_value=1, max_value=thread.t_max))
     c = Conjunction(atom_ids)
-    assert satisfies_conjunction(thread, t, c) == satisfies(thread, t, c.as_formula())
-    assert satisfies_conjunction(thread, t, c) == (set(atom_ids) <= thread.world(t))
+    assert satisfies(thread, t, c.as_formula()) == (set(atom_ids) <= thread.world(t))
 
 
 @given(corpora(), st.data())
