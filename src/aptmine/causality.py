@@ -14,16 +14,16 @@ counts use only the qualifying columns (stats.qualifying_times, the times
 whose successor world holds the consequence).  Counts never exceed t_max,
 far below 2**53, so the float64 arithmetic is exact and the batched path
 is bit-identical to the scalar one (causal_scores), which remains the
-readable reference.
+readable reference.  Each batched row is aggregated in numpy (eps_avg by
+math.fsum), while the scalar path keeps its own aggregator, _finish, so
+the two aggregations check each other.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .model import AptmineError, AtomId, Thread
 from .stats import (
@@ -36,6 +36,9 @@ from .stats import (
     qualifying_times,
     rule_sort_key,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _BLOCK_ROWS = 512  # row-chunk size for the pairwise count products
 
@@ -143,6 +146,8 @@ def _rank_key(sr: ScoredRule):
 
 def _bit_rows(masks: list[int], width: int) -> np.ndarray:
     """0/1 uint8 matrix: row k, column t - 1 holds bit t - 1 of masks[k]."""
+    import numpy as np
+
     nbytes = (width + 7) // 8
     packed = np.frombuffer(b"".join(m.to_bytes(nbytes, "little") for m in masks), dtype=np.uint8)
     return np.unpackbits(packed.reshape(-1, nbytes), axis=1, count=width, bitorder="little")
@@ -151,6 +156,10 @@ def _bit_rows(masks: list[int], width: int) -> np.ndarray:
 def _score_group(
     thread: Thread, consequence: AtomId, members: list[tuple[AptRule, RuleStats]]
 ) -> list[ScoredRule]:
+    # numpy is imported here, not at module level, so that the commands
+    # that never score (ingest, mine, report) do not pay for loading it.
+    import numpy as np
+
     n = len(members)
     fired = [fired_times(thread, thread.times_mask(rule.precondition.atoms)) for rule, _ in members]
     rows = _bit_rows(fired, thread.t_max).astype(np.float64)
@@ -177,7 +186,7 @@ def _score_group(
             idx = np.flatnonzero(mask)
             rule, stats = members[i]
             if idx.size == 0:
-                out.append(_finish(rule, stats, [], 0))
+                out.append(ScoredRule(rule, stats, None, None, None, 0, 0))
                 continue
             p_both = fire_row[idx] / occ_row[idx]
             only_second = occur[idx] - occ_row[idx]
@@ -185,8 +194,12 @@ def _score_group(
             numer = hits[idx] - fire_row[idx]
             p_notfirst = np.where(sep, numer / np.where(sep, only_second, 1.0), 0.0)
             deltas = p_both - p_notfirst
+            n_related = idx.size
+            eps_avg = math.fsum(deltas.tolist()) / n_related
+            eps_frac = np.count_nonzero(deltas >= 0.0) / n_related
+            never_sep = int(np.count_nonzero(~sep))
             out.append(
-                _finish(rule, stats, deltas.tolist(), int(np.count_nonzero(~sep)))
+                ScoredRule(rule, stats, eps_avg, float(deltas.min()), eps_frac, n_related, never_sep)
             )
     return out
 

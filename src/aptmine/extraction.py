@@ -1,23 +1,26 @@
 """Prima facie rule extraction.
 
-For each occurring action atom g, candidate preconditions are built only
-from the time points whose successor world contains g, only from the
-frequent environmental atoms active at that point, and only up to the
-dimension cap.  Each distinct (precondition, consequence) pair is then
-evaluated once against the support, prior, and minimum-probability gates.
+For each occurring action atom g, a candidate precondition is a set S of
+frequent environmental atoms, without g and with at most max_dim atoms,
+whose occurrence mask meets a qualifying time (t <= t_max - 1 with g in
+the successor world): times_mask(S) & qualifying_times(thread, g) != 0.
+One depth-first walk over the sorted pool finds them, carrying each
+prefix's mask down, and each is evaluated once, from its mask, against
+the support, prior, and minimum-probability gates.
 
-The prima facie guarantee makes the pruning lossless: a rule with p > rho
-and rho > 0 must have a satisfied precondition followed by the consequence
-somewhere, so every rule that could pass the gates is generated from some
-qualifying time point.  The report carries the counters needed to check
-that claim against a bound computed from the per-period candidate counts.
+Nothing that could pass the gates is lost.  A set with an infrequent atom
+fails the support gate.  A set whose mask misses every qualifying time has
+p = 0 (or none) and cannot beat rho > 0.  And adding an atom only clears
+mask bits, so no extension of a cut branch can meet a qualifying time.
+The report carries the counters needed to check the walk against a bound
+computed from the per-period candidate counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
+from typing import Iterator
 
 from .model import (
     AptmineError,
@@ -27,10 +30,8 @@ from .model import (
     Conjunction,
     FrozenRegistryError,
     Thread,
-    iter_mask_times,
 )
 from .stats import (
-    NO_OCCURRENCE,
     AptRule,
     RuleStats,
     precondition_counts,
@@ -112,28 +113,34 @@ def candidate_preconditions(
     consequence: AtomId,
     params: ExtractParams,
     frequent: frozenset[AtomId],
-) -> list[tuple[AtomId, ...]]:
-    """Candidate preconditions for one consequence, as sorted atom-id tuples.
+) -> Iterator[tuple[tuple[AtomId, ...], int]]:
+    """The candidates for one consequence, lazily, as (atom tuple, occurrence mask).
 
-    Candidates are the non-empty subsets, up to max_dim atoms, of the
-    frequent environmental atoms active at some time point whose successor
-    world contains the consequence.  The consequence itself is excluded
-    from the pool.  Each candidate appears once, and the list is sorted.
+    Each comes once, in sorted atom-tuple order (the walk's pre-order).  An
+    absent consequence raises EmptyConsequenceError at the call itself.
     """
     if not thread.time_mask(consequence):
         raise EmptyConsequenceError(f"consequence atom {consequence} never occurs in the thread")
-    pool = frequent - {consequence}
-    combos: set[tuple[AtomId, ...]] = set()
-    seen_active: set[tuple[AtomId, ...]] = set()
-    for t in iter_mask_times(qualifying_times(thread, consequence)):
-        active = tuple(sorted(thread.world(t) & pool))
-        if not active or active in seen_active:
-            continue
-        seen_active.add(active)
-        top = min(params.max_dim, len(active))
-        for m in range(1, top + 1):
-            combos.update(combinations(active, m))
-    return sorted(combos)
+    qualifying = qualifying_times(thread, consequence)
+    pool = sorted(frequent - {consequence})
+    roots = [(a, m) for a in pool if (m := thread.time_mask(a)) & qualifying]
+    return _walk((), roots, qualifying, params.max_dim)
+
+
+def _walk(
+    prefix: tuple[AtomId, ...],
+    siblings: list[tuple[AtomId, int]],
+    qualifying: int,
+    depth: int,
+) -> Iterator[tuple[tuple[AtomId, ...], int]]:
+    # siblings: the atoms after the prefix's last one, each with the mask of
+    # prefix + atom, kept only where that mask still meets a qualifying time.
+    for i, (atom, mask) in enumerate(siblings):
+        atoms = (*prefix, atom)
+        yield atoms, mask
+        if depth > 1:
+            children = [(b, both) for b, m in siblings[i + 1 :] if (both := mask & m) & qualifying]
+            yield from _walk(atoms, children, qualifying, depth - 1)
 
 
 def pf_rule_extract(
@@ -164,14 +171,10 @@ def pf_rule_extract(
     explored = 0
     for g in consequences:
         rho = prior(thread, Atom(g))
-        for atoms in candidate_preconditions(thread, g, params, frequent):
+        for atoms, mask in candidate_preconditions(thread, g, params, frequent):
             explored += 1
-            counts = precondition_counts(thread, thread.times_mask(atoms), g)
-            p = counts.p
-            if p is NO_OCCURRENCE:
-                # Unreachable for generated candidates (each occurs at a
-                # qualifying t <= t_max - 1), kept as an honest guard.
-                continue
+            counts = precondition_counts(thread, mask, g)
+            p = counts.p  # a number: each mask meets a qualifying t <= t_max - 1
             if counts.support >= params.supp_lb and p > rho and p >= params.min_prob:
                 rule = AptRule(Conjunction(atoms), g)
                 rules.append((rule, RuleStats(p, counts.p_star, rho, counts.support)))

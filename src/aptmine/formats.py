@@ -8,12 +8,16 @@ atom arguments cannot contain tabs, parens, or commas (enforced at
 interning), so the rendered form ``pred(a,b)`` needs no quoting.
 
 Writes are atomic: content is built in memory and moved into place, so a
-failed run leaves no partial output file.
+failed run leaves no partial output file.  Loaders accept numbers only as
+the writers spell them (ASCII decimal, finite), check their ranges, and
+raise every fault as a FormatError naming path:line.
 """
 
 from __future__ import annotations
 
+import math
 import os
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -30,6 +34,9 @@ COUNTS_MAGIC = "aptmine-counts v1"
 REJECTS_MAGIC = "aptmine-rejects v1"
 
 UNSCORED = "na"
+# The decimal forms repr(float) writes; float() alone would also read a '+'
+# sign, '_', whitespace, non-ASCII digits, nan and inf.
+_FLOAT = re.compile(r"-?[0-9]+(?:\.[0-9]+)?(?:e[-+][0-9]+)?")
 
 
 def write_atomic(path: str | Path, text: str) -> None:
@@ -59,7 +66,12 @@ def _params_line(params: Mapping[str, str]) -> str:
 
 
 def _read_lines(path: str | Path, magic: str) -> tuple[list[str], dict[str, str]]:
-    raw = Path(path).read_text(encoding="utf-8")
+    data = Path(path).read_bytes()
+    try:
+        raw = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise FormatError(f"{path}:{lineno}: not valid UTF-8 ({exc.reason})")
     lines = raw.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -81,6 +93,13 @@ def _uint(path: str | Path, lineno: int, text: str, what: str) -> int:
     if not (text.isascii() and text.isdigit()):
         raise FormatError(f"{path}:{lineno}: {what} must be integers in ASCII digits, got {text!r}")
     return int(text)
+
+
+def _float(path: str | Path, lineno: int, text: str, what: str) -> float:
+    """A finite float field in the ASCII decimal form repr(float) writes."""
+    if _FLOAT.fullmatch(text) and math.isfinite(value := float(text)):
+        return value
+    raise FormatError(f"{path}:{lineno}: {what} must be finite decimal numbers, got {text!r}")
 
 
 # ---------------------------------------------------------------- threads
@@ -179,26 +198,39 @@ def _float_field(value: float) -> str:
     return repr(float(value))
 
 
+def _rule_fields(rule: AptRule, stats: RuleStats, registry: AtomRegistry) -> list[str]:
+    """The columns rules and scored lines share: p, p*, rho, support, consequence, dim, atoms."""
+    return [
+        *(_float_field(v) for v in (stats.p, stats.p_star, stats.rho)),
+        str(stats.support),
+        registry.render(rule.consequence),
+        str(rule.precondition.dimension),
+        *(registry.render(a) for a in rule.precondition.atoms),
+    ]
+
+
+def _parse_rule_fields(
+    path: str | Path, lineno: int, fields: list[str]
+) -> tuple[RuleStats, str, tuple[str, ...]]:
+    """Inverse of _rule_fields: the range-checked stats, consequence text and atom texts."""
+    p, p_star, rho = [_float(path, lineno, f, "rule statistics") for f in fields[:3]]
+    supp, dim = [_uint(path, lineno, fields[i], "rule counts") for i in (3, 5)]
+    atoms = tuple(fields[6:])
+    if dim != len(atoms):
+        raise FormatError(f"{path}:{lineno}: rule dimension {dim} != {len(atoms)} atoms")
+    try:
+        return RuleStats(p, p_star, rho, supp), fields[4], atoms
+    except ValueError as exc:
+        raise FormatError(f"{path}:{lineno}: {exc}")
+
+
 def format_rules(
     rules: Iterable[tuple[AptRule, RuleStats]],
     registry: AtomRegistry,
     params: Mapping[str, str],
 ) -> str:
     lines = [RULES_MAGIC, _params_line(params)]
-    for rule, stats in rules:
-        lines.append(
-            "\t".join(
-                [
-                    _float_field(stats.p),
-                    _float_field(stats.p_star),
-                    _float_field(stats.rho),
-                    str(stats.support),
-                    registry.render(rule.consequence),
-                    str(rule.precondition.dimension),
-                    *(registry.render(a) for a in rule.precondition.atoms),
-                ]
-            )
-        )
+    lines.extend("\t".join(_rule_fields(rule, stats, registry)) for rule, stats in rules)
     return "\n".join(lines) + "\n"
 
 
@@ -222,22 +254,11 @@ def load_rules(
         fields = line.split("\t")
         if len(fields) < 7:
             raise FormatError(f"{path}:{lineno}: malformed rule line {line!r}")
+        stats, consequence, atoms = _parse_rule_fields(path, lineno, fields)
         try:
-            p, p_star, rho = (float(f) for f in fields[:3])
-        except ValueError:
-            raise FormatError(f"{path}:{lineno}: malformed rule numbers in {line!r}")
-        supp = _uint(path, lineno, fields[3], "rule counts")
-        dim = _uint(path, lineno, fields[5], "rule counts")
-        atoms_text = fields[6:]
-        if dim != len(atoms_text):
-            raise FormatError(f"{path}:{lineno}: rule dimension {dim} != {len(atoms_text)} atoms")
-        try:
-            consequence = resolve[fields[4]]
-            precondition = Conjunction(resolve[a] for a in atoms_text)
+            out.append((AptRule(Conjunction(resolve[a] for a in atoms), resolve[consequence]), stats))
         except KeyError as exc:
             raise FormatError(f"{path}:{lineno}: unknown atom {exc.args[0]!r} for this thread")
-        try:
-            out.append((AptRule(precondition, consequence), RuleStats(p, p_star, rho, supp)))
         except ValueError as exc:
             raise FormatError(f"{path}:{lineno}: {exc}")
     return out, params
@@ -276,22 +297,8 @@ def format_scored(
                 if sr.is_unscored
                 else tuple(_float_field(v) for v in (sr.eps_avg, sr.eps_min, sr.eps_frac))
             )
-            lines.append(
-                "\t".join(
-                    [
-                        *eps,
-                        str(sr.related_count),
-                        str(sr.never_separated_count),
-                        _float_field(sr.stats.p),
-                        _float_field(sr.stats.p_star),
-                        _float_field(sr.stats.rho),
-                        str(sr.stats.support),
-                        registry.render(sr.rule.consequence),
-                        str(sr.rule.precondition.dimension),
-                        *(registry.render(a) for a in sr.rule.precondition.atoms),
-                    ]
-                )
-            )
+            counts = (str(sr.related_count), str(sr.never_separated_count))
+            lines.append("\t".join([*eps, *counts, *_rule_fields(sr.rule, sr.stats, registry)]))
     return "\n".join(lines) + "\n"
 
 
@@ -304,6 +311,28 @@ def save_scored(
     write_atomic(path, format_scored(ranked, registry, params))
 
 
+def _parse_eps(
+    path: str | Path, lineno: int, fields: list[str]
+) -> tuple[float | None, float | None, float | None, int, int]:
+    """The scored-only columns: eps_avg, eps_min, eps_frac, related, never_separated."""
+    related_count, never_separated = [_uint(path, lineno, f, "scored counts") for f in fields[3:]]
+    if never_separated > related_count:
+        raise FormatError(
+            f"{path}:{lineno}: never_separated {never_separated} exceeds related {related_count}"
+        )
+    if fields[:3] == [UNSCORED] * 3:
+        if related_count:
+            raise FormatError(f"{path}:{lineno}: an unscored rule must have related 0")
+        return None, None, None, 0, 0
+    if not related_count:
+        raise FormatError(f"{path}:{lineno}: a rule related to nothing must be unscored")
+    eps = [_float(path, lineno, f, "eps values") for f in fields[:3]]
+    for name, value, low in zip(("eps_avg", "eps_min", "eps_frac"), eps, (-1.0, -1.0, 0.0)):
+        if not low <= value <= 1.0:
+            raise FormatError(f"{path}:{lineno}: {name} must lie in [{low:g}, 1], got {value!r}")
+    return eps[0], eps[1], eps[2], related_count, never_separated
+
+
 def load_scored(path: str | Path) -> tuple[list[ScoredRecord], dict[str, str]]:
     """Parse a scored-rules file into renderable records (registry-free)."""
     lines, params = _read_lines(path, SCORED_MAGIC)
@@ -312,33 +341,11 @@ def load_scored(path: str | Path) -> tuple[list[ScoredRecord], dict[str, str]]:
         fields = line.split("\t")
         if len(fields) < 12:
             raise FormatError(f"{path}:{lineno}: malformed scored line {line!r}")
-        try:
-            if fields[0] == UNSCORED:
-                eps_avg = eps_min = eps_frac = None
-            else:
-                eps_avg, eps_min, eps_frac = (float(f) for f in fields[:3])
-            p, p_star, rho = (float(f) for f in fields[5:8])
-        except ValueError:
-            raise FormatError(f"{path}:{lineno}: malformed scored numbers in {line!r}")
-        related_count, never_separated, supp, dim = (
-            _uint(path, lineno, fields[i], "scored counts") for i in (3, 4, 8, 10)
-        )
-        atoms_text = tuple(fields[11:])
-        if dim != len(atoms_text):
-            raise FormatError(f"{path}:{lineno}: scored dimension {dim} != {len(atoms_text)} atoms")
+        eps_and_counts = _parse_eps(path, lineno, fields[:5])
+        stats, consequence, atoms = _parse_rule_fields(path, lineno, fields[5:])
         out.append(
             ScoredRecord(
-                consequence=fields[9],
-                precondition=atoms_text,
-                eps_avg=eps_avg,
-                eps_min=eps_min,
-                eps_frac=eps_frac,
-                related_count=related_count,
-                never_separated_count=never_separated,
-                p=p,
-                p_star=p_star,
-                rho=rho,
-                support=supp,
+                consequence, atoms, *eps_and_counts, stats.p, stats.p_star, stats.rho, stats.support
             )
         )
     return out, params

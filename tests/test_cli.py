@@ -192,3 +192,27 @@ def test_report_on_an_empty_scored_file(tmp_path):
     result = run("report", path)
     assert result.returncode == 0
     assert result.stdout.splitlines()[0].startswith("No.")
+
+
+def test_report_rejects_a_scored_file_with_bad_numbers(t1_thread, tmp_path):
+    rules_path, scored_path = tmp_path / "t1.rules", tmp_path / "t1.scored"
+    assert run("mine", t1_thread, "--out", rules_path, "--max-dim", "2", "--supp-lb", "1").returncode == 0
+    assert run("compare", rules_path, t1_thread, "--out", scored_path, "--k", "all").returncode == 0
+    lines = scored_path.read_text().splitlines()
+    out = tmp_path / "report.txt"
+    for field, text in ((0, "nan"), (5, "1.5"), (0, "1_0.5"), (4, "7")):
+        fields = lines[2].split("\t")
+        fields[field] = text
+        scored_path.write_text("\n".join([*lines[:2], "\t".join(fields), *lines[3:]]) + "\n")
+        result = run("report", scored_path, "--out", out)
+        assert result.returncode == 1, text
+        assert "t1.scored:3:" in result.stderr
+        assert not out.exists()
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # Only compare scores; ingest, mine and report should not pay for numpy.
+    code = "import sys, aptmine.cli; print('numpy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -1,6 +1,9 @@
 """Prima facie rule extraction: gates, candidates, counters, pruning."""
 
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aptmine import (
     AptRule,
@@ -57,25 +60,55 @@ def test_frequent_env_atoms_by_support(t1):
         frequent_env_atoms(thread, registry, 0)
 
 
+def walk(thread, g, params, frequent):
+    """The candidates' atom tuples, each mask checked against times_mask."""
+    out = []
+    for atoms, mask in candidate_preconditions(thread, g, params, frequent):
+        assert mask == thread.times_mask(atoms)
+        out.append(atoms)
+    return out
+
+
 def test_candidates_on_worked_example(t1):
     thread, registry, a, b, g = t1
     frequent = frequent_env_atoms(thread, registry, 1)
-    got = candidate_preconditions(thread, g, ExtractParams(max_dim=2, supp_lb=1), frequent)
+    got = walk(thread, g, ExtractParams(max_dim=2, supp_lb=1), frequent)
     assert got == sorted([(a,), (b,), (a, b)])
 
-    got = candidate_preconditions(thread, g, ExtractParams(max_dim=1, supp_lb=1), frequent)
+    got = walk(thread, g, ExtractParams(max_dim=1, supp_lb=1), frequent)
     assert got == sorted([(a,), (b,)])
 
     narrow = frequent_env_atoms(thread, registry, 3)
-    got = candidate_preconditions(thread, g, DEFAULTS, narrow)
+    got = walk(thread, g, DEFAULTS, narrow)
     assert got == [(b,)]
 
 
 def test_candidates_never_contain_the_consequence(t1):
     thread, registry, a, b, g = t1
     frequent = frequent_env_atoms(thread, registry, 1)  # includes g itself
-    for c in candidate_preconditions(thread, g, ExtractParams(max_dim=3, supp_lb=1), frequent):
-        assert g not in c
+    got = walk(thread, g, ExtractParams(max_dim=3, supp_lb=1), frequent)
+    assert got
+    for atoms in got:
+        assert g not in atoms
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6), max_dim=st.integers(min_value=1, max_value=4))
+def test_walk_yields_the_sorted_subsets_of_qualifying_worlds(seed, max_dim):
+    thread, registry = random_corpus(seed)
+    params = ExtractParams(max_dim=max_dim, supp_lb=1 + seed % 3)
+    frequent = frequent_env_atoms(thread, registry, params.supp_lb)
+    for g in sorted(registry.action_set):
+        if not thread.time_mask(g):
+            continue
+        pool = frequent - {g}
+        expect = set()
+        for t in range(1, thread.t_max):
+            if g in thread.world(t + 1):
+                active = sorted(thread.world(t) & pool)
+                for m in range(1, max_dim + 1):
+                    expect.update(combinations(active, m))
+        assert walk(thread, g, params, frequent) == sorted(expect)
 
 
 def test_candidates_for_absent_consequence(t1):

@@ -1,8 +1,10 @@
 """Versioned file formats: round trips are exact, damage is a FormatError."""
 
 import datetime as dt
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aptmine import (
     AtomRegistry,
@@ -22,6 +24,7 @@ from aptmine import (
     save_rules,
     save_scored,
     save_thread,
+    t1_corpus,
 )
 from aptmine.formats import (
     RULES_MAGIC,
@@ -29,6 +32,7 @@ from aptmine.formats import (
     format_counts,
     format_rejects,
     format_rules,
+    format_scored,
     format_thread,
     write_atomic,
 )
@@ -170,7 +174,8 @@ def test_rules_dimension_mismatch(tmp_path, t1):
         load_rules(path, registry)
 
 
-def counts_damaged(tmp_path, t1, suffix, field, text):
+def line_damaged(tmp_path, t1, suffix, edits):
+    """A t1 rules or scored file whose first record has the given fields replaced."""
     thread, registry, *_ = t1
     report = pf_rule_extract(thread, registry, ExtractParams(max_dim=2, supp_lb=1))
     path = tmp_path / f"bad.{suffix}"
@@ -180,10 +185,15 @@ def counts_damaged(tmp_path, t1, suffix, field, text):
         save_scored(path, pf_rule_compare(thread, report.rules), registry, {})
     lines = path.read_text().splitlines()
     fields = lines[2].split("\t")
-    fields[field] = text
+    for field, text in edits.items():
+        fields[field] = text
     lines[2] = "\t".join(fields)
     path.write_text("\n".join(lines) + "\n")
     return path, registry
+
+
+def counts_damaged(tmp_path, t1, suffix, field, text):
+    return line_damaged(tmp_path, t1, suffix, {field: text})
 
 
 @pytest.mark.parametrize("text", ["\u0661", "1_0", "+1", "-1"])
@@ -198,6 +208,126 @@ def test_rule_stats_out_of_range_raise_with_line(tmp_path, t1):
     path, registry = counts_damaged(tmp_path, t1, "rules", 0, "1.5")
     with pytest.raises(FormatError, match=r"bad\.rules:3: p must lie in \[0, 1\]"):
         load_rules(path, registry)
+
+
+def t1_artifacts():
+    """The t1 thread, rules and scored files as bytes, keyed by kind."""
+    thread, registry = t1_corpus()
+    report = pf_rule_extract(thread, registry, ExtractParams(max_dim=2, supp_lb=1))
+    texts = {
+        "thread": format_thread(thread, registry, PARAMS),
+        "rules": format_rules(report.rules, registry, {}),
+        "scored": format_scored(pf_rule_compare(thread, report.rules), registry, {}),
+    }
+    return {kind: text.encode() for kind, text in texts.items()}
+
+
+ARTIFACTS = t1_artifacts()
+T1_REGISTRY = t1_corpus()[1]
+
+
+def load_artifact(path):
+    """Load a t1 artifact by its suffix; rules resolve against the t1 registry."""
+    kind = path.suffix[1:]
+    if kind == "thread":
+        return load_thread(path)
+    return load_rules(path, T1_REGISTRY) if kind == "rules" else load_scored(path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["nan", "inf", "-inf", "1e+999", "1_0.5", "\u0661.\u0665", "0.\u0665", "+0.5", " 0.5", "0.5 ", ".5", ""],
+)
+@pytest.mark.parametrize(
+    "suffix, field", [("rules", 0), ("rules", 2), ("scored", 0), ("scored", 2), ("scored", 5)]
+)
+def test_non_decimal_or_non_finite_floats_raise(tmp_path, t1, suffix, field, text):
+    path, _ = counts_damaged(tmp_path, t1, suffix, field, text)
+    with pytest.raises(FormatError, match=rf"bad\.{suffix}:3: .*must be finite decimal numbers"):
+        load_artifact(path)
+
+
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        ({0: "1.5"}, r"eps_avg must lie in \[-1, 1\]"),
+        ({1: "-1.5"}, r"eps_min must lie in \[-1, 1\]"),
+        ({2: "-0.5"}, r"eps_frac must lie in \[0, 1\]"),
+        ({2: "1.0000000000000002"}, r"eps_frac must lie in \[0, 1\]"),
+        ({4: "7"}, "never_separated 7 exceeds related 2"),
+        ({0: "na"}, "eps values must be finite"),
+        ({0: "na", 1: "na", 2: "na"}, "an unscored rule must have related 0"),
+        ({3: "0", 4: "0"}, "a rule related to nothing must be unscored"),
+        ({5: "1.5"}, r"p must lie in \[0, 1\]"),
+        ({7: "1.5"}, r"rho must lie in \[0, 1\]"),
+    ],
+)
+def test_scored_numbers_out_of_range_raise_with_line(tmp_path, t1, edits, message):
+    path, _ = line_damaged(tmp_path, t1, "scored", edits)
+    with pytest.raises(FormatError, match=rf"bad\.scored:3: {message}"):
+        load_scored(path)
+
+
+@pytest.mark.parametrize("kind", sorted(ARTIFACTS))
+def test_bad_utf8_names_the_file_and_line(tmp_path, kind):
+    lines = ARTIFACTS[kind].split(b"\n")
+    lines[3] += b"\xff"
+    path = tmp_path / f"bad.{kind}"
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(FormatError, match=rf"bad\.{kind}:4: not valid UTF-8"):
+        load_artifact(path)
+
+
+TOKENS = ["nan", "inf", "-", "+", "_", " ", "\t", "\n", "na", "0", "1", "7", ".", "1.5", "1e+16",
+          "\u0661", "\u0665", "(", ")", ",", "a()", "g()", "params", "atoms\t", "periods\t"]
+INSERTS = st.one_of(
+    st.sampled_from(TOKENS).map(str.encode),
+    st.text(max_size=3).map(lambda text: text.encode("utf-8", "surrogatepass")),
+    st.binary(max_size=2),
+)
+
+
+def assert_in_range(kind, loaded):
+    if kind == "thread":
+        thread, registry, _ = loaded
+        assert registry.frozen
+        assert all(a < len(registry) for t in range(1, thread.t_max + 1) for a in thread.world(t))
+        return
+    records, _ = loaded
+    for record in records:
+        if kind == "rules":
+            rule, record = record
+            assert rule.precondition.dimension >= 1
+        for value in (record.p, record.p_star, record.rho):
+            assert math.isfinite(value) and 0.0 <= value <= 1.0
+        assert record.support >= 0
+        if kind == "scored":
+            eps = (record.eps_avg, record.eps_min, record.eps_frac)
+            assert 0 <= record.never_separated_count <= record.related_count
+            if record.related_count == 0:
+                assert eps == (None, None, None)
+            else:
+                assert all(math.isfinite(v) for v in eps)
+                assert -1.0 <= record.eps_avg <= 1.0 and -1.0 <= record.eps_min <= 1.0
+                assert 0.0 <= record.eps_frac <= 1.0
+
+
+@settings(max_examples=400, deadline=None)
+@given(kind=st.sampled_from(sorted(ARTIFACTS)), data=st.data())
+def test_mutated_artifacts_load_in_range_or_raise_format_error(tmp_path_factory, kind, data):
+    # Byte-level splices cover text damage and invalid UTF-8 alike.
+    blob = ARTIFACTS[kind]
+    for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+        i = data.draw(st.integers(min_value=0, max_value=len(blob)))
+        j = data.draw(st.integers(min_value=i, max_value=min(len(blob), i + 6)))
+        blob = blob[:i] + data.draw(INSERTS) + blob[j:]
+    path = tmp_path_factory.mktemp("mutant") / f"mutant.{kind}"
+    path.write_bytes(blob)
+    try:
+        loaded = load_artifact(path)
+    except FormatError:
+        return
+    assert_in_range(kind, loaded)
 
 
 def test_rules_magic_is_checked(tmp_path):
