@@ -1,15 +1,12 @@
-# A tour of threads, formulas, and the four rule statistics.
+# A tour of threads, conjunctions, and the four rule statistics.
 #
-# We build the six-period worked example by hand, ask a few satisfaction
-# questions, and read off each statistic the way the mining engine does.
+# We build the six-period worked example by hand, ask which atoms hold
+# when, and read off each statistic the way the mining engine does.
 
 # %%
 from aptmine import (
-    Atom,
     AtomRegistry,
     Conjunction,
-    Not,
-    Or,
     Predicate,
     Thread,
     AptRule,
@@ -17,7 +14,6 @@ from aptmine import (
     negative_probability,
     prior,
     rule_probability,
-    satisfies,
     support,
 )
 
@@ -35,14 +31,16 @@ thread = Thread([{a, b}, {g}, {b}, {g, a}, {b}, ()])
 print(f"t_max = {thread.t_max}")
 
 # %%
-# Formula satisfaction is plain recursive evaluation against one world.
-print("g holds at t=2:", satisfies(thread, 2, Atom(g)))
-print("a or b holds at t=6:", satisfies(thread, 6, Or(Atom(a), Atom(b))))
-print("not g holds at t=3:", satisfies(thread, 3, Not(Atom(g))))
+# A world is the set of atom ids true in that period; a conjunction
+# holds wherever all of its atoms do.
+print("g holds at t=2:", g in thread.world(2))
+print("a or b holds at t=6:", bool({a, b} & thread.world(6)))
+print("{a,b} holds at t=1:", set(Conjunction([a, b])) <= thread.world(1))
+print("times of {a,b}:", bin(thread.times_mask([a, b])))  # bit t-1 <=> holds at t
 
 # %%
-# The prior is the unconditional rate of a formula across all periods.
-print("prior of g:", prior(thread, Atom(g)))  # 2 of 6 periods
+# The prior is the unconditional rate of an atom across all periods.
+print("prior of g:", prior(thread, g))  # 2 of 6 periods
 
 # The rule probability conditions on the precondition and looks one step
 # ahead; the final period has no successor, so it never enters the count.

@@ -12,20 +12,14 @@ __version__ = "0.1.0"
 from .model import (
     AptmineError,
     ArityError,
-    Atom,
     AtomId,
     AtomRegistry,
-    And,
     Conjunction,
-    Formula,
     FrozenRegistryError,
     GroundAtom,
-    Not,
-    Or,
     Predicate,
     Thread,
     TimeIndexError,
-    satisfies,
 )
 from .stats import (
     NO_OCCURRENCE,
@@ -101,9 +95,8 @@ from .oracle import (
 __all__ = [
     "__version__",
     # model
-    "AptmineError", "ArityError", "Atom", "AtomId", "AtomRegistry", "And",
-    "Conjunction", "Formula", "FrozenRegistryError", "GroundAtom", "Not", "Or",
-    "Predicate", "Thread", "TimeIndexError", "satisfies",
+    "AptmineError", "ArityError", "AtomId", "AtomRegistry", "Conjunction",
+    "FrozenRegistryError", "GroundAtom", "Predicate", "Thread", "TimeIndexError",
     # stats
     "NO_OCCURRENCE", "AptRule", "NoOccurrence", "RuleStats", "evaluate_rule",
     "negative_probability", "prior", "rule_probability", "rule_sort_key", "support",

@@ -16,6 +16,7 @@ from . import __version__
 from .causality import pf_rule_compare
 from .extraction import ExtractParams, pf_rule_extract
 from .formats import (
+    decode_utf8,
     load_rules,
     load_scored,
     load_thread,
@@ -150,9 +151,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_csv(path: Path, parse):
+    """Run a CSV parser over a file; bad UTF-8 raises a FormatError naming path:line."""
+    with open(path, "rb") as fh:
+        try:
+            return parse(fh)
+        except UnicodeDecodeError:
+            decode_utf8(path, path.read_bytes())  # raises, naming the first bad line
+            raise
+
+
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    with open(args.location_map, "rb") as fh:
-        location_map = load_location_map(fh)
+    location_map = _read_csv(args.location_map, load_location_map)
     spike_series = None
     if args.spike_series is not None:
         names = [p for p in args.spike_series.split(",") if p]
@@ -166,8 +176,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         spike_config=SpikeConfig(window=args.window, thresholds=args.thresholds),
         spike_series=spike_series,
     )
-    with open(args.events, "rb") as fh:
-        events, parse_rejects = parse_events(fh)
+    events, parse_rejects = _read_csv(args.events, parse_events)
     corpus, build_rejects = build_corpus(events, config)
 
     params = {

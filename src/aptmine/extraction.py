@@ -24,7 +24,6 @@ from typing import Iterator
 
 from .model import (
     AptmineError,
-    Atom,
     AtomId,
     AtomRegistry,
     Conjunction,
@@ -170,7 +169,7 @@ def pf_rule_extract(
     rules: list[tuple[AptRule, RuleStats]] = []
     explored = 0
     for g in consequences:
-        rho = prior(thread, Atom(g))
+        rho = prior(thread, g)
         for atoms, mask in candidate_preconditions(thread, g, params, frequent):
             explored += 1
             counts = precondition_counts(thread, mask, g)

@@ -65,14 +65,17 @@ def _params_line(params: Mapping[str, str]) -> str:
     return "\t".join(["params", *parts])
 
 
-def _read_lines(path: str | Path, magic: str) -> tuple[list[str], dict[str, str]]:
-    data = Path(path).read_bytes()
+def decode_utf8(path: str | Path, data: bytes) -> str:
+    """The file's bytes as text; bad UTF-8 raises a FormatError naming path:line."""
     try:
-        raw = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
         raise FormatError(f"{path}:{lineno}: not valid UTF-8 ({exc.reason})")
-    lines = raw.split("\n")
+
+
+def _read_lines(path: str | Path, magic: str) -> tuple[list[str], dict[str, str]]:
+    lines = decode_utf8(path, Path(path).read_bytes()).split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     if not lines or lines[0] != magic:
@@ -218,6 +221,8 @@ def _parse_rule_fields(
     atoms = tuple(fields[6:])
     if dim != len(atoms):
         raise FormatError(f"{path}:{lineno}: rule dimension {dim} != {len(atoms)} atoms")
+    if len(set(atoms)) != dim:
+        raise FormatError(f"{path}:{lineno}: precondition repeats an atom: {' & '.join(atoms)}")
     try:
         return RuleStats(p, p_star, rho, supp), fields[4], atoms
     except ValueError as exc:
@@ -246,21 +251,33 @@ def save_rules(
 def load_rules(
     path: str | Path, registry: AtomRegistry
 ) -> tuple[list[tuple[AptRule, RuleStats]], dict[str, str]]:
-    """Parse a rules file, resolving atom texts against the given registry."""
+    """Parse a rules file, resolving atom texts against the given registry.
+
+    Each rule must be new to the file and have one of the registry's action
+    atoms as its consequence.
+    """
     lines, params = _read_lines(path, RULES_MAGIC)
     resolve = {registry.render(a): a for a in registry.ids()}
     out: list[tuple[AptRule, RuleStats]] = []
+    seen: set[AptRule] = set()
     for lineno, line in enumerate(lines, start=3):
         fields = line.split("\t")
         if len(fields) < 7:
             raise FormatError(f"{path}:{lineno}: malformed rule line {line!r}")
         stats, consequence, atoms = _parse_rule_fields(path, lineno, fields)
         try:
-            out.append((AptRule(Conjunction(resolve[a] for a in atoms), resolve[consequence]), stats))
+            rule = AptRule(Conjunction(resolve[a] for a in atoms), resolve[consequence])
         except KeyError as exc:
             raise FormatError(f"{path}:{lineno}: unknown atom {exc.args[0]!r} for this thread")
         except ValueError as exc:
             raise FormatError(f"{path}:{lineno}: {exc}")
+        if not registry.is_action(rule.consequence):
+            raise FormatError(f"{path}:{lineno}: consequence {consequence} is not an action atom")
+        if rule in seen:
+            first = next(n for n, (r, _) in enumerate(out, start=3) if r == rule)
+            raise FormatError(f"{path}:{lineno}: duplicate rule, first on line {first}")
+        seen.add(rule)
+        out.append((rule, stats))
     return out, params
 
 

@@ -110,21 +110,28 @@ def _text_stream(source: BinaryIO | io.TextIOBase) -> io.TextIOBase:
     return source
 
 
+def _source_name(source: BinaryIO | io.TextIOBase, default: str) -> str:
+    """The file name an opened stream carries, for diagnostics, else the default."""
+    name = getattr(source, "name", None)
+    return name if isinstance(name, str) else default
+
+
 def parse_events(source: BinaryIO | io.TextIOBase) -> tuple[list[EventRecord], list[Reject]]:
     """Read the event CSV: header ``date,predicate,arg1,arg2,actor``.
 
     Returns the parsed records and the rejects.  Raises FormatError only
-    for a missing or malformed header; every bad row becomes a reject.
+    for a missing or malformed header, naming the stream's file and line 1;
+    every bad row becomes a reject.
     """
+    where = _source_name(source, "event file")
     reader = csv.reader(_text_stream(source))
+    expected = ",".join(EXPECTED_HEADER)
     try:
         header = next(reader)
     except StopIteration:
-        raise FormatError("event file is empty, expected header date,predicate,arg1,arg2,actor")
+        raise FormatError(f"{where}:1: event file is empty, expected header {expected}")
     if tuple(h.strip() for h in header) != EXPECTED_HEADER:
-        raise FormatError(
-            f"bad header {header!r}, expected {','.join(EXPECTED_HEADER)}"
-        )
+        raise FormatError(f"{where}:1: bad header {header!r}, expected {expected}")
 
     records: list[EventRecord] = []
     rejects: list[Reject] = []
@@ -158,20 +165,22 @@ def parse_events(source: BinaryIO | io.TextIOBase) -> tuple[list[EventRecord], l
 
 
 def load_location_map(source: BinaryIO | io.TextIOBase) -> dict[str, str]:
-    """Read a ``city,theater`` file; theater must be Iraq or Syria."""
+    """Read a ``city,theater`` file; theater must be Iraq or Syria.
+
+    A bad row raises FormatError naming the stream's file and the line.
+    """
+    where = _source_name(source, "location map")
     mapping: dict[str, str] = {}
     for line, row in enumerate(csv.reader(_text_stream(source)), start=1):
         if not row:
             continue
         if len(row) != 2:
-            raise FormatError(f"location map line {line}: expected city,theater, got {row!r}")
+            raise FormatError(f"{where}:{line}: expected city,theater, got {row!r}")
         city, theater = (cell.strip() for cell in row)
         if theater not in THEATERS:
-            raise FormatError(
-                f"location map line {line}: theater must be one of {THEATERS}, got {theater!r}"
-            )
+            raise FormatError(f"{where}:{line}: theater must be one of {THEATERS}, got {theater!r}")
         if city in mapping and mapping[city] != theater:
-            raise FormatError(f"location map line {line}: conflicting theater for {city!r}")
+            raise FormatError(f"{where}:{line}: conflicting theater for {city!r}")
         mapping[city] = theater
     return mapping
 

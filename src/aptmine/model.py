@@ -1,6 +1,8 @@
-"""Ground atoms, worlds, threads, and formula satisfaction.
+"""Ground atoms, conjunctions of atoms, worlds, and threads.
 
 Atoms are interned into dense integer ids by an :class:`AtomRegistry`.
+A rule's precondition is a :class:`Conjunction` of positive atoms; its
+consequence is a single atom id.
 A :class:`Thread` is the single historical corpus: a sequence of worlds
 indexed 1..t_max (1-based, inclusive), each world the set of atom ids
 true in that period.  Threads keep both the world frozensets and a
@@ -175,40 +177,19 @@ class AtomRegistry:
         return range(len(self._atoms))
 
 
-class Formula:
-    """Base class for propositional formulas over ground atoms."""
-
-    __slots__ = ()
-
-
 @dataclass(frozen=True, slots=True)
-class Atom(Formula):
+class Atom:
+    """A reference to one atom by id, as the brute-force oracle takes it."""
+
     atom_id: AtomId
 
 
-@dataclass(frozen=True, slots=True)
-class Not(Formula):
-    operand: Formula
-
-
-@dataclass(frozen=True, slots=True)
-class And(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True, slots=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True, init=False, order=True, slots=True)
+@dataclass(frozen=True, init=False, slots=True)
 class Conjunction:
     """A non-empty set of positive atoms, kept sorted for canonical equality.
 
-    Equality, hashing, and ordering all follow the sorted atom tuple, so two
-    conjunctions built from the same atoms in any order compare equal.
+    Equality and hashing follow the sorted atom tuple, so two conjunctions
+    built from the same atoms in any order compare equal.
     """
 
     atoms: tuple[AtomId, ...]
@@ -234,16 +215,6 @@ class Conjunction:
 
     def __contains__(self, atom_id: object) -> bool:
         return atom_id in self.atoms
-
-    def union(self, other: "Conjunction") -> "Conjunction":
-        return Conjunction(self.atoms + other.atoms)
-
-    def as_formula(self) -> Formula:
-        """The equivalent And-tree (left-folded)."""
-        node: Formula = Atom(self.atoms[0])
-        for a in self.atoms[1:]:
-            node = And(node, Atom(a))
-        return node
 
     def render(self, registry: AtomRegistry) -> str:
         return " & ".join(registry.render(a) for a in self.atoms)
@@ -331,19 +302,3 @@ def low_time_mask(n: int) -> int:
         raise ValueError("mask width must be non-negative")
     return (1 << n) - 1
 
-
-def _eval(world: frozenset[AtomId], formula: Formula) -> bool:
-    if isinstance(formula, Atom):
-        return formula.atom_id in world
-    if isinstance(formula, Not):
-        return not _eval(world, formula.operand)
-    if isinstance(formula, And):
-        return _eval(world, formula.left) and _eval(world, formula.right)
-    if isinstance(formula, Or):
-        return _eval(world, formula.left) or _eval(world, formula.right)
-    raise TypeError(f"not a formula node: {formula!r}")
-
-
-def satisfies(thread: Thread, t: int, formula: Formula) -> bool:
-    """Recursive satisfaction of a formula at time t."""
-    return _eval(thread.world(t), formula)

@@ -25,14 +25,10 @@ from .extraction import ExtractParams, subset_count
 from .ingestion import BuiltCorpus
 from .model import (
     AptmineError,
-    And,
     Atom,
     AtomId,
     AtomRegistry,
     Conjunction,
-    Formula,
-    Not,
-    Or,
     Predicate,
     Thread,
 )
@@ -66,20 +62,8 @@ def t1_corpus() -> tuple[Thread, AtomRegistry]:
 # ------------------------------------------------------- exact statistics
 
 
-def _eval(world: frozenset[AtomId], formula: Formula) -> bool:
-    if isinstance(formula, Atom):
-        return formula.atom_id in world
-    if isinstance(formula, Not):
-        return not _eval(world, formula.operand)
-    if isinstance(formula, And):
-        return _eval(world, formula.left) and _eval(world, formula.right)
-    if isinstance(formula, Or):
-        return _eval(world, formula.left) or _eval(world, formula.right)
-    raise TypeError(f"not a formula node: {formula!r}")
-
-
-def exact_prior(thread: Thread, formula: Formula) -> Fraction:
-    hits = sum(1 for t in range(1, thread.t_max + 1) if _eval(thread.world(t), formula))
+def exact_prior(thread: Thread, atom: Atom) -> Fraction:
+    hits = sum(1 for t in range(1, thread.t_max + 1) if atom.atom_id in thread.world(t))
     return Fraction(hits, thread.t_max)
 
 

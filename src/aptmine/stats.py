@@ -1,5 +1,8 @@
 """The four rule statistics: prior, probability, negative probability, support.
 
+A rule's precondition is a conjunction of atoms and its consequence one
+atom; the prior is the consequence atom's rate over the whole thread.
+
 Conventions, fixed here and mirrored by the brute-force oracle:
 
 * ``rule_probability`` restricts both numerator and denominator to times
@@ -22,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .model import AtomId, Atom, Conjunction, Formula, Thread, low_time_mask, satisfies
+from .model import AtomId, Conjunction, Thread, low_time_mask
 
 
 class NoOccurrence:
@@ -85,13 +88,9 @@ class RuleStats:
             raise ValueError(f"support must be non-negative, got {self.support!r}")
 
 
-def prior(thread: Thread, formula: Formula) -> float:
-    """Fraction of times 1..t_max at which the formula holds (Eq. rho)."""
-    if isinstance(formula, Atom):
-        hits = thread.time_mask(formula.atom_id).bit_count()
-    else:
-        hits = sum(1 for t in range(1, thread.t_max + 1) if satisfies(thread, t, formula))
-    return hits / thread.t_max
+def prior(thread: Thread, atom_id: AtomId) -> float:
+    """Fraction of times 1..t_max at which the atom holds (Eq. rho)."""
+    return thread.time_mask(atom_id).bit_count() / thread.t_max
 
 
 def fired_times(thread: Thread, mask: int) -> int:
@@ -161,6 +160,6 @@ def evaluate_rule(thread: Thread, rule: AptRule) -> RuleStats:
     return RuleStats(
         p=counts.p,
         p_star=counts.p_star,
-        rho=prior(thread, Atom(rule.consequence)),
+        rho=prior(thread, rule.consequence),
         support=counts.support,
     )

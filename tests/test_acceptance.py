@@ -15,7 +15,6 @@ from fractions import Fraction
 
 from aptmine import (
     AptRule,
-    Atom,
     Conjunction,
     CountSeries,
     ExtractParams,
@@ -110,7 +109,7 @@ def test_criterion_3_worked_example_numbers():
     with criterion(3, "worked-example statistics, extraction, and scores are exact"):
         thread, registry = t1_corpus()
         a, b, g = 0, 1, 2
-        assert prior(thread, Atom(g)) == 1 / 3
+        assert prior(thread, g) == 1 / 3
         assert rule_probability(thread, Conjunction([a]), g) == 1 / 2
         assert rule_probability(thread, Conjunction([b]), g) == 2 / 3
         assert rule_probability(thread, Conjunction([a, b]), g) == 1.0

@@ -1,5 +1,6 @@
 """End-to-end command line tests, run through the real subprocess boundary."""
 
+import re
 import subprocess
 import sys
 
@@ -154,6 +155,50 @@ def test_ingest_writes_thread_rejects_and_counts(tmp_path):
         "--out", nan_path, "--thresholds", "nan",
     )
     assert result.returncode == 1 and "finite" in result.stderr and not nan_path.exists()
+
+
+@pytest.mark.parametrize(
+    "events, locations, message",
+    [
+        (b"date,predicate,arg1,arg2,actor\n", b"Mosul,Iraq\nRaqqa\n", r"locations\.csv:2: expected city,theater"),
+        (b"date,predicate,arg1,arg2,actor\n", b"Mosul,Iraq\nRaqqa,Narnia\n", r"locations\.csv:2: theater must"),
+        (b"date,predicate,arg1,arg2,actor\n", b"Mosul,Iraq\n\nMosul,Syria\n", r"locations\.csv:3: conflicting"),
+        (b"date,predicate,arg1,arg2,actor\n", b"Mosul,Iraq\nMos\xffl,Iraq\n", r"locations\.csv:2: not valid UTF-8"),
+        (b"when,what\n", b"Mosul,Iraq\n", r"events\.csv:1: bad header"),
+        (b"", b"Mosul,Iraq\n", r"events\.csv:1: event file is empty"),
+        (b"date,predicate,arg1,arg2,actor\n2014-06-08,recon,Mos\xe9l,,\n", b"Mosul,Iraq\n",
+         r"events\.csv:2: not valid UTF-8"),
+    ],
+    ids=["map-fields", "map-theater", "map-conflict", "map-utf8", "header", "empty", "events-utf8"],
+)
+def test_ingest_diagnostics_name_the_file_and_line(tmp_path, events, locations, message):
+    (tmp_path / "events.csv").write_bytes(events)
+    (tmp_path / "locations.csv").write_bytes(locations)
+    out = tmp_path / "never.thread"
+    result = run(
+        "ingest", tmp_path / "events.csv", "--location-map", tmp_path / "locations.csv",
+        "--epoch", "2014-06-08", "--out", out,
+    )
+    assert result.returncode == 1
+    assert re.search(rf"^error: \S*{message}", result.stderr), result.stderr
+    assert not out.exists()
+
+
+def test_compare_rejects_repeated_and_non_action_rules(t1_thread, tmp_path):
+    rules_path = tmp_path / "t1.rules"
+    assert run("mine", t1_thread, "--out", rules_path, "--max-dim", "2", "--supp-lb", "1").returncode == 0
+    lines = rules_path.read_text().splitlines()
+    fields = lines[2].split("\t")
+    fields[4] = "b()"  # an environmental atom of t1, not an action atom
+    for body, message in (
+        ([*lines[2:], lines[3]], "t1.rules:6: duplicate rule, first on line 4"),
+        (["\t".join(fields), *lines[3:]], "t1.rules:3: consequence b() is not an action atom"),
+    ):
+        rules_path.write_text("\n".join([*lines[:2], *body]) + "\n")
+        result = run("compare", rules_path, t1_thread, "--out", tmp_path / "never.scored")
+        assert result.returncode == 1
+        assert message in result.stderr
+        assert not (tmp_path / "never.scored").exists()
 
 
 def test_missing_input_exits_one_without_partial_output(tmp_path):

@@ -210,6 +210,33 @@ def test_rule_stats_out_of_range_raise_with_line(tmp_path, t1):
         load_rules(path, registry)
 
 
+@pytest.mark.parametrize("suffix, offset", [("rules", 0), ("scored", 5)])
+def test_repeated_precondition_atom_raises(tmp_path, t1, suffix, offset):
+    path, registry = line_damaged(tmp_path, t1, suffix, {})
+    lines = path.read_text().splitlines()
+    fields = lines[2].split("\t")
+    lines[2] = "\t".join([*fields[: offset + 5], "2", "a()", "a()"])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match=rf"bad\.{suffix}:3: precondition repeats an atom"):
+        load_rules(path, registry) if suffix == "rules" else load_scored(path)
+
+
+def test_repeated_rule_line_raises_naming_both_lines(tmp_path, t1):
+    path, registry = line_damaged(tmp_path, t1, "rules", {})
+    lines = path.read_text().splitlines()
+    lines.insert(4, lines[2])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match=r"bad\.rules:5: duplicate rule, first on line 3"):
+        load_rules(path, registry)
+
+
+def test_rule_consequence_must_be_an_action_atom(tmp_path, t1):
+    # b() is an atom of the t1 thread, but only g() is an action atom.
+    path, registry = line_damaged(tmp_path, t1, "rules", {4: "b()", 6: "a()"})
+    with pytest.raises(FormatError, match=r"bad\.rules:3: consequence b\(\) is not an action atom"):
+        load_rules(path, registry)
+
+
 def t1_artifacts():
     """The t1 thread, rules and scored files as bytes, keyed by kind."""
     thread, registry = t1_corpus()
@@ -287,17 +314,27 @@ INSERTS = st.one_of(
 )
 
 
-def assert_in_range(kind, loaded):
+def assert_in_range(kind, loaded, blob):
     if kind == "thread":
         thread, registry, _ = loaded
         assert registry.frozen
         assert all(a < len(registry) for t in range(1, thread.t_max + 1) for a in thread.world(t))
         return
     records, _ = loaded
+    if kind == "rules":
+        # Each rule is new, ends in an action atom, and lists as many atoms as
+        # its line's dimension field says.
+        assert len({rule for rule, _ in records}) == len(records)
+        assert all(T1_REGISTRY.is_action(rule.consequence) for rule, _ in records)
+        rows = blob.decode().split("\n")[2:]
+        for (rule, _), row in zip(records, rows):
+            assert rule.precondition.dimension == int(row.split("\t")[5])
     for record in records:
         if kind == "rules":
             rule, record = record
             assert rule.precondition.dimension >= 1
+        else:
+            assert len(set(record.precondition)) == len(record.precondition)
         for value in (record.p, record.p_star, record.rho):
             assert math.isfinite(value) and 0.0 <= value <= 1.0
         assert record.support >= 0
@@ -312,12 +349,32 @@ def assert_in_range(kind, loaded):
                 assert 0.0 <= record.eps_frac <= 1.0
 
 
+def line_edited(blob, data):
+    """Duplicate a line after the params line, or overwrite one of its tab fields
+    with the field before it, counting from the end, where the atoms are."""
+    lines = blob.split(b"\n")
+    last = max(len(lines) - 2, 0)  # skip the item after a final newline
+    i = data.draw(st.integers(min_value=min(2, last), max_value=last))
+    fields = lines[i].split(b"\t")
+    if len(fields) < 2 or data.draw(st.booleans()):
+        lines.insert(i, lines[i])
+    else:
+        k = len(fields) - 1 - data.draw(st.integers(min_value=0, max_value=len(fields) - 2))
+        fields[k] = fields[k - 1]
+        lines[i] = b"\t".join(fields)
+    return b"\n".join(lines)
+
+
 @settings(max_examples=400, deadline=None)
 @given(kind=st.sampled_from(sorted(ARTIFACTS)), data=st.data())
 def test_mutated_artifacts_load_in_range_or_raise_format_error(tmp_path_factory, kind, data):
-    # Byte-level splices cover text damage and invalid UTF-8 alike.
+    # Byte-level splices cover text damage and invalid UTF-8 alike; line
+    # edits make repeated records and repeated atoms likely.
     blob = ARTIFACTS[kind]
     for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+        if data.draw(st.booleans()):
+            blob = line_edited(blob, data)
+            continue
         i = data.draw(st.integers(min_value=0, max_value=len(blob)))
         j = data.draw(st.integers(min_value=i, max_value=min(len(blob), i + 6)))
         blob = blob[:i] + data.draw(INSERTS) + blob[j:]
@@ -327,7 +384,7 @@ def test_mutated_artifacts_load_in_range_or_raise_format_error(tmp_path_factory,
         loaded = load_artifact(path)
     except FormatError:
         return
-    assert_in_range(kind, loaded)
+    assert_in_range(kind, loaded, blob)
 
 
 def test_rules_magic_is_checked(tmp_path):

@@ -1,27 +1,18 @@
-"""Atoms, registry, threads, conjunctions, and formula satisfaction."""
+"""Atoms, registry, threads, and conjunctions."""
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from aptmine import (
-    And,
     ArityError,
-    Atom,
     AtomRegistry,
     Conjunction,
     FrozenRegistryError,
     GroundAtom,
-    Not,
-    Or,
     Predicate,
     Thread,
     TimeIndexError,
-    satisfies,
 )
 from aptmine.model import iter_mask_times, low_time_mask
-
-from conftest import corpora
 
 
 # ---------------------------------------------------------------- atoms
@@ -201,7 +192,6 @@ def test_conjunction_normalizes_order_and_duplicates():
     assert Conjunction([3, 1, 3, 2]).atoms == (1, 2, 3)
     assert Conjunction([2, 1]) == Conjunction([1, 2])
     assert hash(Conjunction([2, 1])) == hash(Conjunction([1, 2]))
-    assert Conjunction([1]) < Conjunction([1, 2]) < Conjunction([2])
 
 
 def test_conjunction_validation():
@@ -218,62 +208,8 @@ def test_conjunction_container_protocol():
     assert len(c) == 2 and c.dimension == 2
     assert list(c) == [2, 4]
     assert 2 in c and 3 not in c
-    assert c.union(Conjunction([3])) == Conjunction([2, 3, 4])
 
 
 def test_conjunction_render(t1):
     _, registry, a, b, g = t1
     assert Conjunction([b, a]).render(registry) == "a() & b()"
-
-
-# ------------------------------------------------------------ satisfaction
-
-
-def test_satisfies_worked_examples(t1):
-    thread, registry, a, b, g = t1
-    assert satisfies(thread, 1, And(Atom(a), Atom(b)))
-    assert not satisfies(thread, 2, And(Atom(a), Atom(b)))
-    assert satisfies(thread, 2, Or(Atom(a), Atom(g)))
-    assert satisfies(thread, 3, Not(Atom(a)))
-    assert not satisfies(thread, 6, Or(Atom(a), Or(Atom(b), Atom(g))))
-    assert satisfies(thread, 6, Not(Atom(a)))
-
-
-def test_satisfies_rejects_non_formula(t1):
-    thread = t1[0]
-    with pytest.raises(TypeError, match="not a formula"):
-        satisfies(thread, 1, "a")
-
-
-def formulas(n_atoms: int):
-    atoms = st.builds(Atom, st.integers(min_value=0, max_value=n_atoms - 1))
-    return st.recursive(
-        atoms,
-        lambda children: st.one_of(
-            st.builds(Not, children),
-            st.builds(And, children, children),
-            st.builds(Or, children, children),
-        ),
-        max_leaves=12,
-    )
-
-
-@given(corpora(), st.data())
-def test_conjunction_formula_holds_exactly_where_all_atoms_do(corpus, data):
-    thread, registry = corpus
-    atom_ids = data.draw(
-        st.sets(st.integers(min_value=0, max_value=len(registry) - 1), min_size=1, max_size=4)
-    )
-    t = data.draw(st.integers(min_value=1, max_value=thread.t_max))
-    c = Conjunction(atom_ids)
-    assert satisfies(thread, t, c.as_formula()) == (set(atom_ids) <= thread.world(t))
-
-
-@given(corpora(), st.data())
-def test_de_morgan_holds_under_evaluation(corpus, data):
-    thread, registry = corpus
-    f = data.draw(formulas(len(registry)))
-    h = data.draw(formulas(len(registry)))
-    t = data.draw(st.integers(min_value=1, max_value=thread.t_max))
-    assert satisfies(thread, t, Not(And(f, h))) == satisfies(thread, t, Or(Not(f), Not(h)))
-    assert satisfies(thread, t, Not(Or(f, h))) == satisfies(thread, t, And(Not(f), Not(h)))

@@ -9,10 +9,7 @@ from hypothesis import strategies as st
 from aptmine import (
     NO_OCCURRENCE,
     AptRule,
-    Atom,
-    And,
     Conjunction,
-    Not,
     NoOccurrence,
     RuleStats,
     Thread,
@@ -29,6 +26,7 @@ from aptmine.oracle import (
     exact_rule_probability,
     exact_support,
 )
+from aptmine.model import Atom
 from aptmine.stats import precondition_counts
 
 from conftest import corpora
@@ -42,15 +40,9 @@ def test_no_occurrence_is_a_singleton():
 
 def test_priors_on_worked_example(t1):
     thread, registry, a, b, g = t1
-    assert prior(thread, Atom(a)) == 1 / 3
-    assert prior(thread, Atom(b)) == 1 / 2
-    assert prior(thread, Atom(g)) == 1 / 3
-
-
-def test_prior_handles_compound_formulas(t1):
-    thread, registry, a, b, g = t1
-    assert prior(thread, And(Atom(a), Atom(b))) == 1 / 6
-    assert prior(thread, Not(Atom(a))) == 4 / 6
+    assert prior(thread, a) == 1 / 3
+    assert prior(thread, b) == 1 / 2
+    assert prior(thread, g) == 1 / 3
 
 
 def test_rule_probability_on_worked_example(t1):
@@ -186,7 +178,7 @@ def test_statistics_match_the_fraction_oracle(case):
     if exact_ps is not None:
         assert p_star == float(exact_ps)
 
-    assert prior(thread, Atom(g)) == float(exact_prior(thread, Atom(g)))
+    assert prior(thread, g) == float(exact_prior(thread, Atom(g)))
     assert support(thread, c) == exact_support(thread, c.atoms)
 
 
@@ -196,7 +188,7 @@ def test_statistics_stay_in_range(case):
     for value in (
         rule_probability(thread, c, g),
         negative_probability(thread, c, g),
-        prior(thread, Atom(g)),
+        prior(thread, g),
     ):
         if value is not NO_OCCURRENCE:
             assert 0.0 <= value <= 1.0
