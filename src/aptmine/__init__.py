@@ -66,7 +66,6 @@ from .ingestion import (
     EventRecord,
     FormatError,
     Reject,
-    SeriesSpec,
     build_corpus,
     load_location_map,
     parse_events,
@@ -111,7 +110,7 @@ __all__ = [
     "pf_rule_compare", "related",
     # ingestion
     "BuiltCorpus", "CorpusConfig", "EmptyCorpusError", "EventRecord", "FormatError",
-    "Reject", "SeriesSpec", "build_corpus", "load_location_map", "parse_events",
+    "Reject", "build_corpus", "load_location_map", "parse_events",
     # formats
     "load_rules", "load_scored", "load_thread", "save_counts", "save_rejects",
     "save_rules", "save_scored", "save_thread",

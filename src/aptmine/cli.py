@@ -27,15 +27,7 @@ from .formats import (
     save_thread,
     write_atomic,
 )
-from .ingestion import (
-    THEATERS,
-    TOTAL_THEATER,
-    CorpusConfig,
-    SeriesSpec,
-    build_corpus,
-    load_location_map,
-    parse_events,
-)
+from .ingestion import CorpusConfig, build_corpus, load_location_map, parse_events
 from .model import AptmineError
 from .oracle import PlantedRule, SynthSpec, generate_synthetic
 from .spikes import SpikeConfig
@@ -165,10 +157,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     location_map = _read_csv(args.location_map, load_location_map)
     spike_series = None
     if args.spike_series is not None:
-        names = [p for p in args.spike_series.split(",") if p]
-        spike_series = tuple(
-            SeriesSpec(name, (*THEATERS, TOTAL_THEATER)) for name in sorted(names)
-        )
+        spike_series = tuple(p for p in args.spike_series.split(",") if p)
     config = CorpusConfig(
         epoch=args.epoch,
         location_map=location_map,

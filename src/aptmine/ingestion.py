@@ -14,9 +14,9 @@ import csv
 import datetime as dt
 import io
 from dataclasses import dataclass, field
-from typing import BinaryIO, Iterable, Mapping, NamedTuple
+from typing import BinaryIO, Iterable, Iterator, Mapping
 
-from .model import AptmineError, AtomRegistry, Predicate, Thread
+from .model import RESERVED, AptmineError, AtomRegistry, Predicate, Thread
 from .spikes import CountSeries, SpikeConfig, spike_atoms
 
 EXPECTED_HEADER = ("date", "predicate", "arg1", "arg2", "actor")
@@ -60,22 +60,19 @@ class Reject:
     detail: str
 
 
-class SeriesSpec(NamedTuple):
-    """One activity predicate and the theaters to aggregate it over."""
-
-    predicate: str
-    theaters: tuple[str, ...]
-
-
 @dataclass(frozen=True)
 class CorpusConfig:
-    """Everything build_corpus needs beyond the events themselves."""
+    """Everything build_corpus needs beyond the events themselves.
+
+    ``spike_series`` names the predicates to count and spike-detect, each
+    in every theater and the Total; ``None`` means every observed one.
+    """
 
     epoch: dt.date
     location_map: Mapping[str, str]
     period_days: int = 7
     spike_config: SpikeConfig = SpikeConfig()
-    spike_series: tuple[SeriesSpec, ...] | None = None
+    spike_series: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.period_days < 1:
@@ -83,11 +80,8 @@ class CorpusConfig:
         for theater in self.location_map.values():
             if theater not in THEATERS:
                 raise ValueError(f"location map theater must be one of {THEATERS}, got {theater!r}")
-        if self.spike_series is not None:
-            for spec in self.spike_series:
-                for theater in spec.theaters:
-                    if theater not in (*THEATERS, TOTAL_THEATER):
-                        raise ValueError(f"unknown theater {theater!r} for series {spec.predicate!r}")
+        if isinstance(self.spike_series, str):
+            raise TypeError(f"spike_series must be a tuple of names, not the str {self.spike_series!r}")
 
 
 @dataclass(frozen=True)
@@ -96,17 +90,13 @@ class BuiltCorpus:
 
     thread: Thread
     registry: AtomRegistry
-    period_dates: tuple[tuple[dt.date, dt.date], ...]
     count_series: Mapping[tuple[str, str], tuple[int, ...]] = field(default_factory=dict)
 
 
-_RESERVED_CHARS = set("(),\t\n\r")
-
-
 def _text_stream(source: BinaryIO | io.TextIOBase) -> io.TextIOBase:
-    """A binary stream decoded as UTF-8 text for the csv module; text passes through."""
+    """A binary stream decoded as UTF-8 text, BOM dropped, for the csv module."""
     if isinstance(source, (io.RawIOBase, io.BufferedIOBase)) or "b" in getattr(source, "mode", ""):
-        return io.TextIOWrapper(source, encoding="utf-8", newline="")
+        return io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
     return source
 
 
@@ -116,15 +106,24 @@ def _source_name(source: BinaryIO | io.TextIOBase, default: str) -> str:
     return name if isinstance(name, str) else default
 
 
+def _csv_rows(source: BinaryIO | io.TextIOBase, where: str) -> Iterator[list[str]]:
+    """The stream's CSV rows; a csv.Error becomes a FormatError naming where:line."""
+    reader = csv.reader(_text_stream(source))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise FormatError(f"{where}:{reader.line_num}: {exc}") from None
+
+
 def parse_events(source: BinaryIO | io.TextIOBase) -> tuple[list[EventRecord], list[Reject]]:
     """Read the event CSV: header ``date,predicate,arg1,arg2,actor``.
 
     Returns the parsed records and the rejects.  Raises FormatError only
-    for a missing or malformed header, naming the stream's file and line 1;
-    every bad row becomes a reject.
+    for a missing or malformed header or a row the csv module cannot read,
+    naming the stream's file and line; every other bad row becomes a reject.
     """
     where = _source_name(source, "event file")
-    reader = csv.reader(_text_stream(source))
+    reader = _csv_rows(source, where)
     expected = ",".join(EXPECTED_HEADER)
     try:
         header = next(reader)
@@ -155,7 +154,7 @@ def parse_events(source: BinaryIO | io.TextIOBase) -> tuple[list[EventRecord], l
             continue
         args = tuple(a for a in (raw_a1, raw_a2) if a)
         bad = next(
-            (v for v in (raw_pred, *args) if any(ch in _RESERVED_CHARS for ch in v)), None
+            (v for v in (raw_pred, *args) if any(ch in RESERVED for ch in v)), None
         )
         if bad is not None:
             rejects.append(Reject(line, "reserved character", bad))
@@ -171,7 +170,7 @@ def load_location_map(source: BinaryIO | io.TextIOBase) -> dict[str, str]:
     """
     where = _source_name(source, "location map")
     mapping: dict[str, str] = {}
-    for line, row in enumerate(csv.reader(_text_stream(source)), start=1):
+    for line, row in enumerate(_csv_rows(source, where), start=1):
         if not row:
             continue
         if len(row) != 2:
@@ -188,16 +187,6 @@ def load_location_map(source: BinaryIO | io.TextIOBase) -> dict[str, str]:
 def sigma_label(threshold: float) -> str:
     """Render a threshold as a spike-atom argument, e.g. 2sigma."""
     return f"{threshold:g}sigma"
-
-
-def _series_specs(
-    config: CorpusConfig, observed_predicates: Iterable[str]
-) -> tuple[SeriesSpec, ...]:
-    if config.spike_series is not None:
-        return tuple(sorted(config.spike_series))
-    return tuple(
-        SeriesSpec(p, (*THEATERS, TOTAL_THEATER)) for p in sorted(set(observed_predicates))
-    )
 
 
 def build_corpus(
@@ -218,7 +207,7 @@ def build_corpus(
     rejects: list[Reject] = []
     accepted: list[tuple[int, str | None, int, EventRecord]] = []
     series_predicates = (
-        {spec.predicate for spec in config.spike_series}
+        set(config.spike_series)
         if config.spike_series is not None
         else {e.predicate for e in events}
     )
@@ -266,18 +255,20 @@ def build_corpus(
 
     count_series: dict[tuple[str, str], tuple[int, ...]] = {}
     zeros = [0] * t_max
-    for spec in _series_specs(config, observed):
-        for theater in spec.theaters:
+    # Auto mode spikes only the predicates whose events reached the thread.
+    series = series_predicates if config.spike_series is not None else observed
+    for predicate in sorted(series):
+        for theater in (*THEATERS, TOTAL_THEATER):
             if theater == TOTAL_THEATER:
-                parts = [raw_counts.get((spec.predicate, th), zeros) for th in THEATERS]
+                parts = [raw_counts.get((predicate, th), zeros) for th in THEATERS]
                 counts = tuple(sum(column) for column in zip(*parts))
             else:
-                counts = tuple(raw_counts.get((spec.predicate, theater), zeros))
-            key = (spec.predicate, theater)
+                counts = tuple(raw_counts.get((predicate, theater), zeros))
+            key = (predicate, theater)
             count_series[key] = counts
             for emission in spike_atoms(CountSeries(key, counts), config.spike_config):
                 atom = registry.intern(
-                    Predicate(f"{spec.predicate}Spike", 2),
+                    Predicate(f"{predicate}Spike", 2),
                     (theater, sigma_label(emission.threshold)),
                 )
                 registry.mark_action(atom)
@@ -285,13 +276,4 @@ def build_corpus(
                 worlds[emission.period - 1].add(atom)
 
     registry.freeze()
-    thread = Thread(worlds)
-    period_dates = tuple(
-        (
-            config.epoch + dt.timedelta(days=i * config.period_days),
-            config.epoch + dt.timedelta(days=(i + 1) * config.period_days - 1),
-        )
-        for i in range(t_max)
-    )
-    corpus = BuiltCorpus(thread, registry, period_dates, count_series)
-    return corpus, rejects
+    return BuiltCorpus(Thread(worlds), registry, count_series), rejects

@@ -37,14 +37,14 @@ class FrozenRegistryError(AptmineError):
 
 # Reserved in predicate names and arguments so the rendered form
 # ``pred(arg1,arg2)`` and the tab-separated file formats stay unambiguous.
-_RESERVED = "(),\t\n\r"
+RESERVED = "(),\t\n\r"
 
 
 def _check_token(kind: str, value: str) -> str:
     if not isinstance(value, str) or not value:
         raise ValueError(f"{kind} must be a non-empty string, got {value!r}")
-    if any(ch in _RESERVED for ch in value):
-        raise ValueError(f"{kind} {value!r} contains a reserved character (one of {_RESERVED!r})")
+    if any(ch in RESERVED for ch in value):
+        raise ValueError(f"{kind} {value!r} contains a reserved character (one of {RESERVED!r})")
     return value
 
 

@@ -14,7 +14,6 @@ marker.
 
 from __future__ import annotations
 
-import datetime as dt
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -230,9 +229,6 @@ def brute_force_scores(
 
 # ------------------------------------------------------ synthetic corpora
 
-_SYNTH_EPOCH = dt.date(2000, 1, 3)
-
-
 @dataclass(frozen=True, slots=True)
 class PlantedRule:
     """A ground-truth rule to embed: co-placed precondition atoms whose
@@ -326,15 +322,7 @@ def generate_synthetic(spec: SynthSpec) -> BuiltCorpus:
                 worlds[t].add(atom)
 
     registry.freeze()
-    thread = Thread(worlds)
-    period_dates = tuple(
-        (
-            _SYNTH_EPOCH + dt.timedelta(days=7 * i),
-            _SYNTH_EPOCH + dt.timedelta(days=7 * i + 6),
-        )
-        for i in range(spec.t_max)
-    )
-    return BuiltCorpus(thread, registry, period_dates, {})
+    return BuiltCorpus(Thread(worlds), registry)
 
 
 def sparse_benchmark_corpus(

@@ -168,8 +168,13 @@ def test_ingest_writes_thread_rejects_and_counts(tmp_path):
         (b"", b"Mosul,Iraq\n", r"events\.csv:1: event file is empty"),
         (b"date,predicate,arg1,arg2,actor\n2014-06-08,recon,Mos\xe9l,,\n", b"Mosul,Iraq\n",
          r"events\.csv:2: not valid UTF-8"),
+        (b"date,predicate,arg1,arg2,actor\n2014-06-08,recon," + b"x" * 140_000 + b",,\n",
+         b"Mosul,Iraq\n", r"events\.csv:2: field larger than field limit"),
+        (b"date,predicate,arg1,arg2,actor\n", b"x" * 140_000 + b",Iraq\n",
+         r"locations\.csv:1: field larger than field limit"),
     ],
-    ids=["map-fields", "map-theater", "map-conflict", "map-utf8", "header", "empty", "events-utf8"],
+    ids=["map-fields", "map-theater", "map-conflict", "map-utf8", "header", "empty", "events-utf8",
+         "events-long-field", "map-long-field"],
 )
 def test_ingest_diagnostics_name_the_file_and_line(tmp_path, events, locations, message):
     (tmp_path / "events.csv").write_bytes(events)
@@ -182,6 +187,23 @@ def test_ingest_diagnostics_name_the_file_and_line(tmp_path, events, locations, 
     assert result.returncode == 1
     assert re.search(rf"^error: \S*{message}", result.stderr), result.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "date, flags",
+    [("2014-06-08", ["--epoch", "2014-06-08", "--period-days", "10000000"]),
+     ("9999-12-30", ["--epoch", "9999-12-30"])],
+    ids=["huge-period", "last-dates"],
+)
+def test_ingest_survives_dates_near_the_calendar_end(tmp_path, date, flags):
+    (tmp_path / "events.csv").write_text(f"date,predicate,arg1,arg2,actor\n{date},recon,Mosul,,\n")
+    (tmp_path / "locations.csv").write_text("Mosul,Iraq\n")
+    out = tmp_path / "events.thread"
+    result = run("ingest", tmp_path / "events.csv", "--location-map", tmp_path / "locations.csv",
+                 *flags, "--out", out)
+    assert result.returncode == 0, result.stderr
+    assert "into 1 periods" in result.stdout
+    assert out.read_text().startswith(THREAD_MAGIC)
 
 
 def test_compare_rejects_repeated_and_non_action_rules(t1_thread, tmp_path):

@@ -12,7 +12,6 @@ from aptmine import (
     EventRecord,
     FormatError,
     Predicate,
-    SeriesSpec,
     build_corpus,
     load_location_map,
     parse_events,
@@ -65,7 +64,8 @@ def test_parse_accepts_binary_streams():
     raw = "date,predicate,arg1,arg2,actor\n2014-06-08,recon,Mosul,,\n"
     from_binary, _ = parse_events(io.BytesIO(raw.encode()))
     from_text, _ = parse_events(io.StringIO(raw))
-    assert from_binary == from_text
+    from_bom, _ = parse_events(io.BytesIO(b"\xef\xbb\xbf" + raw.encode()))
+    assert from_binary == from_text == from_bom
 
 
 def test_parse_rejects_bad_header():
@@ -117,8 +117,6 @@ def test_periods_are_seven_day_buckets_from_the_epoch():
     assert corpus.thread.t_max == 3
     atom = corpus.registry.find(Predicate("armedAtk", 2), ("ISIS", "Mosul"))
     assert corpus.thread.occurrences(atom) == (1, 2, 3)
-    assert corpus.period_dates[0] == (EPOCH, day(6))
-    assert corpus.period_dates[2] == (day(14), day(20))
 
 
 def test_late_december_lands_in_period_thirty():
@@ -149,7 +147,7 @@ def test_unmapped_location_rejected_for_series_predicates():
 
 
 def test_unmapped_location_tolerated_off_series():
-    cfg = config(spike_series=(SeriesSpec("armedAtk", ("Iraq", "Syria", "Total")),))
+    cfg = config(spike_series=("armedAtk",))
     corpus, rejects = build_corpus(
         [event(0), event(1, predicate="recon", args=("Atlantis",))], cfg
     )
@@ -248,13 +246,14 @@ def test_config_validation():
         config(period_days=0)
     with pytest.raises(ValueError, match="theater"):
         CorpusConfig(epoch=EPOCH, location_map={"Mosul": "Atlantis"})
-    with pytest.raises(ValueError, match="theater"):
-        config(spike_series=(SeriesSpec("armedAtk", ("Narnia",)),))
+    with pytest.raises(TypeError, match="not the str"):
+        config(spike_series="armedAtk")
 
 
 def test_load_location_map():
     mapping = load_location_map(io.StringIO("Mosul,Iraq\nRaqqa,Syria\n\nMosul,Iraq\n"))
     assert mapping == {"Mosul": "Iraq", "Raqqa": "Syria"}
+    assert load_location_map(io.BytesIO(b"\xef\xbb\xbfMosul,Iraq\n")) == {"Mosul": "Iraq"}
     with pytest.raises(FormatError, match="city,theater"):
         load_location_map(io.StringIO("Mosul\n"))
     with pytest.raises(FormatError, match="theater"):

@@ -1,6 +1,5 @@
 """The brute-force oracle and the synthetic corpus generators."""
 
-import datetime as dt
 from fractions import Fraction
 
 import pytest
@@ -130,8 +129,6 @@ def test_zero_density_without_plants_is_silent():
     assert corpus.thread.t_max == 10
     assert corpus.thread.occurring_atoms() == ()
     assert corpus.count_series == {}
-    assert corpus.period_dates[0] == (dt.date(2000, 1, 3), dt.date(2000, 1, 9))
-    assert len(corpus.period_dates) == 10
 
 
 def test_zero_density_plant_has_perfect_statistics():
