@@ -22,9 +22,7 @@ from .model import (
     TimeIndexError,
 )
 from .stats import (
-    NO_OCCURRENCE,
     AptRule,
-    NoOccurrence,
     RuleStats,
     evaluate_rule,
     negative_probability,
@@ -33,14 +31,7 @@ from .stats import (
     rule_sort_key,
     support,
 )
-from .spikes import (
-    CountSeries,
-    InsufficientHistoryError,
-    SpikeConfig,
-    SpikeEmission,
-    moving_stats,
-    spike_atoms,
-)
+from .spikes import SpikeConfig, spike_atoms
 from .extraction import (
     EmptyConsequenceError,
     ExtractParams,
@@ -97,11 +88,10 @@ __all__ = [
     "AptmineError", "ArityError", "AtomId", "AtomRegistry", "Conjunction",
     "FrozenRegistryError", "GroundAtom", "Predicate", "Thread", "TimeIndexError",
     # stats
-    "NO_OCCURRENCE", "AptRule", "NoOccurrence", "RuleStats", "evaluate_rule",
-    "negative_probability", "prior", "rule_probability", "rule_sort_key", "support",
+    "AptRule", "RuleStats", "evaluate_rule", "negative_probability", "prior",
+    "rule_probability", "rule_sort_key", "support",
     # spikes
-    "CountSeries", "InsufficientHistoryError", "SpikeConfig", "SpikeEmission",
-    "moving_stats", "spike_atoms",
+    "SpikeConfig", "spike_atoms",
     # extraction
     "EmptyConsequenceError", "ExtractParams", "ExtractionReport",
     "candidate_preconditions", "frequent_env_atoms", "pf_rule_extract", "subset_count",

@@ -27,7 +27,6 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .model import AptmineError, AtomId, Thread
 from .stats import (
-    NO_OCCURRENCE,
     AptRule,
     RuleStats,
     evaluate_rule,
@@ -95,7 +94,7 @@ def pair_probs(thread: Thread, r: AptRule, r2: AptRule) -> PairProbs:
     second = thread.times_mask(r2.precondition.atoms)
     p_both = precondition_counts(thread, first & second, r.consequence).p
     p_notfirst = precondition_counts(thread, second & ~first, r.consequence).p
-    if p_notfirst is NO_OCCURRENCE:
+    if p_notfirst is None:
         return PairProbs(p_both, 0.0, True)
     return PairProbs(p_both, p_notfirst, False)
 

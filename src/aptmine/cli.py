@@ -27,7 +27,7 @@ from .formats import (
     save_thread,
     write_atomic,
 )
-from .ingestion import CorpusConfig, build_corpus, load_location_map, parse_events
+from .ingestion import CorpusConfig, build_corpus, load_location_map, parse_date, parse_events
 from .model import AptmineError
 from .oracle import PlantedRule, SynthSpec, generate_synthetic
 from .spikes import SpikeConfig
@@ -42,7 +42,7 @@ def _parse_thresholds(text: str) -> tuple[float, ...]:
 
 def _parse_date(text: str) -> dt.date:
     try:
-        return dt.date.fromisoformat(text)
+        return parse_date(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad date {text!r}, expected YYYY-MM-DD")
 

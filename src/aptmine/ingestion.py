@@ -13,15 +13,17 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import io
+import re
 from dataclasses import dataclass, field
 from typing import BinaryIO, Iterable, Iterator, Mapping
 
 from .model import RESERVED, AptmineError, AtomRegistry, Predicate, Thread
-from .spikes import CountSeries, SpikeConfig, spike_atoms
+from .spikes import SpikeConfig, spike_atoms
 
 EXPECTED_HEADER = ("date", "predicate", "arg1", "arg2", "actor")
 THEATERS = ("Iraq", "Syria")
 TOTAL_THEATER = "Total"
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
 class FormatError(AptmineError):
@@ -51,8 +53,8 @@ class EventRecord:
 class Reject:
     """A row or event that could not be used, and why.
 
-    ``line`` is the CSV line number for parse rejects and the index into
-    the event list for build rejects.
+    ``line`` is the CSV line the row starts on for parse rejects and the
+    index into the event list for build rejects.
     """
 
     line: int
@@ -106,11 +108,24 @@ def _source_name(source: BinaryIO | io.TextIOBase, default: str) -> str:
     return name if isinstance(name, str) else default
 
 
-def _csv_rows(source: BinaryIO | io.TextIOBase, where: str) -> Iterator[list[str]]:
-    """The stream's CSV rows; a csv.Error becomes a FormatError naming where:line."""
+def parse_date(text: str) -> dt.date:
+    """A ``YYYY-MM-DD`` date; every other spelling is a ValueError on every Python."""
+    if not _ISO_DATE.fullmatch(text):
+        raise ValueError(f"bad date {text!r}, expected YYYY-MM-DD")
+    return dt.date.fromisoformat(text)
+
+
+def _csv_rows(source: BinaryIO | io.TextIOBase, where: str) -> Iterator[tuple[int, list[str]]]:
+    """The stream's CSV rows, each with the line it starts on.
+
+    A csv.Error becomes a FormatError naming where:line.
+    """
     reader = csv.reader(_text_stream(source))
+    line = 1
     try:
-        yield from reader
+        for row in reader:
+            yield line, row
+            line = reader.line_num + 1
     except csv.Error as exc:
         raise FormatError(f"{where}:{reader.line_num}: {exc}") from None
 
@@ -126,7 +141,7 @@ def parse_events(source: BinaryIO | io.TextIOBase) -> tuple[list[EventRecord], l
     reader = _csv_rows(source, where)
     expected = ",".join(EXPECTED_HEADER)
     try:
-        header = next(reader)
+        _, header = next(reader)
     except StopIteration:
         raise FormatError(f"{where}:1: event file is empty, expected header {expected}")
     if tuple(h.strip() for h in header) != EXPECTED_HEADER:
@@ -134,7 +149,7 @@ def parse_events(source: BinaryIO | io.TextIOBase) -> tuple[list[EventRecord], l
 
     records: list[EventRecord] = []
     rejects: list[Reject] = []
-    for line, row in enumerate(reader, start=2):
+    for line, row in reader:
         if not row:
             continue
         if len(row) != len(EXPECTED_HEADER):
@@ -142,7 +157,7 @@ def parse_events(source: BinaryIO | io.TextIOBase) -> tuple[list[EventRecord], l
             continue
         raw_date, raw_pred, raw_a1, raw_a2, raw_actor = (cell.strip() for cell in row)
         try:
-            date = dt.date.fromisoformat(raw_date)
+            date = parse_date(raw_date)
         except ValueError:
             rejects.append(Reject(line, "unparseable date", raw_date))
             continue
@@ -170,7 +185,7 @@ def load_location_map(source: BinaryIO | io.TextIOBase) -> dict[str, str]:
     """
     where = _source_name(source, "location map")
     mapping: dict[str, str] = {}
-    for line, row in enumerate(_csv_rows(source, where), start=1):
+    for line, row in _csv_rows(source, where):
         if not row:
             continue
         if len(row) != 2:
@@ -204,13 +219,14 @@ def build_corpus(
     if not events:
         raise EmptyCorpusError("no events to build a corpus from")
 
+    predicates = {e.predicate for e in events}
+    series_predicates = set(config.spike_series) if config.spike_series is not None else predicates
+    unknown = sorted(series_predicates - predicates)
+    if unknown:
+        raise ValueError(f"spike_series names predicates that no event has: {', '.join(unknown)}")
+
     rejects: list[Reject] = []
     accepted: list[tuple[int, str | None, int, EventRecord]] = []
-    series_predicates = (
-        set(config.spike_series)
-        if config.spike_series is not None
-        else {e.predicate for e in events}
-    )
     for index, event in enumerate(events):
         days = (event.date - config.epoch).days
         if days < 0:
@@ -264,16 +280,14 @@ def build_corpus(
                 counts = tuple(sum(column) for column in zip(*parts))
             else:
                 counts = tuple(raw_counts.get((predicate, theater), zeros))
-            key = (predicate, theater)
-            count_series[key] = counts
-            for emission in spike_atoms(CountSeries(key, counts), config.spike_config):
+            count_series[predicate, theater] = counts
+            for period, threshold in spike_atoms(counts, config.spike_config):
                 atom = registry.intern(
-                    Predicate(f"{predicate}Spike", 2),
-                    (theater, sigma_label(emission.threshold)),
+                    Predicate(f"{predicate}Spike", 2), (theater, sigma_label(threshold))
                 )
                 registry.mark_action(atom)
                 registry.mark_env(atom)
-                worlds[emission.period - 1].add(atom)
+                worlds[period - 1].add(atom)
 
     registry.freeze()
     return BuiltCorpus(Thread(worlds), registry, count_series), rejects

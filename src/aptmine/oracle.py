@@ -7,9 +7,7 @@ any of the engine's pruning or vectorization.  Tests pit the engine
 against these on small instances, so the two code paths must share
 nothing but the data types and the counting conventions.
 
-``None`` plays the role of the engine's NO_OCCURRENCE marker here: a
-Fraction-valued statistic is absent exactly when the engine reports the
-marker.
+A statistic whose conditioning event never occurs is None, as in the engine.
 """
 
 from __future__ import annotations
@@ -36,6 +34,9 @@ from .stats import AptRule, rule_sort_key
 
 class OracleGuardError(AptmineError):
     """The brute-force instance size estimate exceeded the guard."""
+
+
+PAIR_GUARD = 1_000_000  # most candidate pairs brute_force_extract will evaluate
 
 
 # ------------------------------------------------------------- T1 fixture
@@ -119,10 +120,7 @@ class OracleExtraction:
 
 
 def brute_force_extract(
-    thread: Thread,
-    registry: AtomRegistry,
-    params: ExtractParams,
-    pair_guard: int = 1_000_000,
+    thread: Thread, registry: AtomRegistry, params: ExtractParams
 ) -> OracleExtraction:
     """Exhaustively evaluate every (subset of frequent env atoms, consequence) pair.
 
@@ -142,9 +140,9 @@ def brute_force_extract(
         subset_count(len([a for a in frequent if a != g]), params.max_dim)
         for g in consequences
     )
-    if estimate > pair_guard:
+    if estimate > PAIR_GUARD:
         raise OracleGuardError(
-            f"instance needs {estimate} candidate pairs, guard allows {pair_guard}"
+            f"instance needs {estimate} candidate pairs, guard allows {PAIR_GUARD}"
         )
 
     rules: dict[AptRule, OracleRuleStats] = {}
@@ -325,30 +323,17 @@ def generate_synthetic(spec: SynthSpec) -> BuiltCorpus:
     return BuiltCorpus(Thread(worlds), registry)
 
 
-def sparse_benchmark_corpus(
-    seed: int = 2024,
-    n_env: int = 980,
-    t_max: int = 30,
-    weekly_active: int = 93,
-    weekly_core: int = 47,
-    n_core: int = 200,
-    n_act: int = 6,
-    act_weeks: int = 7,
-) -> tuple[Thread, AtomRegistry]:
+def sparse_benchmark_corpus(seed: int = 2024) -> tuple[Thread, AtomRegistry]:
     """A corpus shaped like a sparse incident dataset, for efficiency tests.
 
-    Exactly ``weekly_active`` atoms are active each period: ``weekly_core``
-    drawn from a pool of ``n_core`` recurring atoms (the first ``n_act`` of
-    which double as action atoms with ``act_weeks`` occurrences each), the
-    rest filled from one-or-two-shot rare atoms that can never clear a
-    support bound of 3.  Deterministic for a fixed seed.
+    980 atoms over 30 periods.  Exactly 93 atoms are active each period: 47
+    drawn from a pool of 200 recurring atoms (the first 6 of which double
+    as action atoms with 7 occurrences each), the rest filled from
+    one-or-two-shot rare atoms that can never clear a support bound of 3.
+    Deterministic for a fixed seed.
     """
-    if weekly_core > n_core or weekly_active > n_env or weekly_core > weekly_active:
-        raise ValueError("inconsistent corpus shape")
-    n_rare = n_env - n_core
-    rare_fill = weekly_active - weekly_core
-    if rare_fill * t_max > 2 * n_rare:
-        raise ValueError("not enough rare atoms to fill the periods")
+    n_env, t_max, n_core, n_act, act_weeks = 980, 30, 200, 6, 7
+    weekly_core, rare_fill = 47, 93 - 47
 
     rng = random.Random(seed)
     registry = AtomRegistry()

@@ -13,12 +13,7 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
-
-from .model import AptmineError
-
-
-class InsufficientHistoryError(AptmineError):
-    """Too few previous periods to fill the moving window."""
+from typing import Sequence
 
 
 @dataclass(frozen=True, slots=True)
@@ -37,58 +32,19 @@ class SpikeConfig:
             raise ValueError(f"thresholds must be strictly ascending, got {self.thresholds}")
 
 
-@dataclass(frozen=True, slots=True)
-class CountSeries:
-    """Per-period counts for one (activity, theater) key, period 1 first."""
-
-    key: tuple[str, str]
-    counts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        for c in self.counts:
-            if not isinstance(c, int) or isinstance(c, bool) or c < 0:
-                raise ValueError(f"counts must be non-negative integers, got {c!r}")
-
-
-@dataclass(frozen=True, slots=True)
-class SpikeEmission:
-    """One spike: the series key spiked at `period` at level `threshold`."""
-
-    period: int
-    key: tuple[str, str]
-    threshold: float
-
-
-def moving_stats(series: CountSeries, window: int, t: int) -> tuple[float, float]:
-    """Mean and population std dev of the window counts before period t.
-
-    Requires t > window (enough history) and t <= len(counts).
-    """
-    if window < 1:
-        raise ValueError(f"window must be at least 1, got {window}")
-    if t > len(series.counts):
-        raise ValueError(f"period {t} beyond series of length {len(series.counts)}")
-    if t <= window:
-        raise InsufficientHistoryError(
-            f"period {t} has only {t - 1} previous period(s), window needs {window}"
-        )
-    recent = series.counts[t - 1 - window : t - 1]
-    return statistics.fmean(recent), statistics.pstdev(recent)
-
-
-def spike_atoms(series: CountSeries, config: SpikeConfig) -> list[SpikeEmission]:
-    """All spike emissions for one series, ordered by (period, threshold).
+def spike_atoms(counts: Sequence[int], config: SpikeConfig) -> list[tuple[int, float]]:
+    """The ``(period, threshold)`` spikes of a count series (period 1 first),
+    ordered by period, then threshold.
 
     Periods 1..window are never emitted; a flat window (sigma = 0) emits
     nothing because the count must strictly exceed the moving average.
     """
-    out: list[SpikeEmission] = []
-    for t in range(config.window + 1, len(series.counts) + 1):
-        mean, sigma = moving_stats(series, config.window, t)
-        value = series.counts[t - 1]
+    out: list[tuple[int, float]] = []
+    for t in range(config.window + 1, len(counts) + 1):
+        recent = counts[t - 1 - config.window : t - 1]
+        mean, sigma = statistics.fmean(recent), statistics.pstdev(recent)
+        value = counts[t - 1]
         if value <= mean:
             continue
-        for k in config.thresholds:
-            if value >= mean + k * sigma:
-                out.append(SpikeEmission(t, series.key, k))
+        out.extend((t, k) for k in config.thresholds if value >= mean + k * sigma)
     return out

@@ -12,8 +12,7 @@ Conventions, fixed here and mirrored by the brute-force oracle:
   the numerator: no world precedes time 1, so the precondition vacuously
   did not occur before it.
 * ``support`` counts over the full range 1..t_max.
-* A statistic whose conditioning event never occurs yields NO_OCCURRENCE,
-  a distinct marker, never 0.0.
+* A statistic whose conditioning event never occurs is None, never 0.0.
 
 ``precondition_counts`` applies them to an occurrence bitmask; extraction
 and the scalar scoring path count through it too, and the batched scoring
@@ -26,24 +25,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .model import AtomId, Conjunction, Thread, low_time_mask
-
-
-class NoOccurrence:
-    """Marker for statistics whose conditioning event never occurs."""
-
-    __slots__ = ()
-    _singleton = None
-
-    def __new__(cls) -> "NoOccurrence":
-        if cls._singleton is None:
-            cls._singleton = super().__new__(cls)
-        return cls._singleton
-
-    def __repr__(self) -> str:
-        return "NO_OCCURRENCE"
-
-
-NO_OCCURRENCE = NoOccurrence()
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,16 +54,16 @@ def rule_sort_key(rule: AptRule) -> tuple[AtomId, tuple[AtomId, ...]]:
 class RuleStats:
     """The four statistics of one rule against one thread."""
 
-    p: float | NoOccurrence
-    p_star: float | NoOccurrence
+    p: float | None
+    p_star: float | None
     rho: float
     support: int
 
     def __post_init__(self) -> None:
         for name, value in (("p", self.p), ("p_star", self.p_star), ("rho", self.rho)):
-            if isinstance(value, NoOccurrence):
+            if value is None and name != "rho":
                 continue
-            if not 0.0 <= value <= 1.0:
+            if value is None or not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
         if self.support < 0:
             raise ValueError(f"support must be non-negative, got {self.support!r}")
@@ -113,12 +94,12 @@ class PreconditionCounts(NamedTuple):
     unpreceded: int  # consequence occurrences not preceded by the precondition
 
     @property
-    def p(self) -> float | NoOccurrence:
-        return self.hits / self.fired if self.fired else NO_OCCURRENCE
+    def p(self) -> float | None:
+        return self.hits / self.fired if self.fired else None
 
     @property
-    def p_star(self) -> float | NoOccurrence:
-        return self.unpreceded / self.goal if self.goal else NO_OCCURRENCE
+    def p_star(self) -> float | None:
+        return self.unpreceded / self.goal if self.goal else None
 
 
 def precondition_counts(thread: Thread, mask: int, consequence: AtomId) -> PreconditionCounts:
@@ -137,14 +118,14 @@ def _counts(thread: Thread, precondition: Conjunction, consequence: AtomId) -> P
 
 def rule_probability(
     thread: Thread, precondition: Conjunction, consequence: AtomId
-) -> float | NoOccurrence:
+) -> float | None:
     """P(consequence next | precondition now), over t in 1..t_max-1."""
     return _counts(thread, precondition, consequence).p
 
 
 def negative_probability(
     thread: Thread, precondition: Conjunction, consequence: AtomId
-) -> float | NoOccurrence:
+) -> float | None:
     """Fraction of the consequence's occurrences not preceded by the precondition."""
     return _counts(thread, precondition, consequence).p_star
 

@@ -9,7 +9,6 @@ from aptmine import (
     AtomRegistry,
     Conjunction,
     ExtractParams,
-    NO_OCCURRENCE,
     PairProbs,
     Predicate,
     RuleStats,
@@ -184,7 +183,7 @@ def test_single_period_thread_scores_nothing():
     thread = Thread([{0, 1, 2}])
     rule = AptRule(Conjunction([0]), 2)
     other = AptRule(Conjunction([1]), 2)
-    stats = RuleStats(NO_OCCURRENCE, NO_OCCURRENCE, 1.0, 1)
+    stats = RuleStats(None, None, 1.0, 1)
     ranked = pf_rule_compare(thread, [(rule, stats), (other, stats)])
     assert all(sr.is_unscored for sr in ranked[2])
 

@@ -163,6 +163,7 @@ def test_ingest_writes_thread_rejects_and_counts(tmp_path):
         (b"date,predicate,arg1,arg2,actor\n", b"Mosul,Iraq\nRaqqa\n", r"locations\.csv:2: expected city,theater"),
         (b"date,predicate,arg1,arg2,actor\n", b"Mosul,Iraq\nRaqqa,Narnia\n", r"locations\.csv:2: theater must"),
         (b"date,predicate,arg1,arg2,actor\n", b"Mosul,Iraq\n\nMosul,Syria\n", r"locations\.csv:3: conflicting"),
+        (b"date,predicate,arg1,arg2,actor\n", b'"Mos\nul",Iraq\nRaqqa,Narnia\n', r"locations\.csv:3: theater must"),
         (b"date,predicate,arg1,arg2,actor\n", b"Mosul,Iraq\nMos\xffl,Iraq\n", r"locations\.csv:2: not valid UTF-8"),
         (b"when,what\n", b"Mosul,Iraq\n", r"events\.csv:1: bad header"),
         (b"", b"Mosul,Iraq\n", r"events\.csv:1: event file is empty"),
@@ -173,7 +174,7 @@ def test_ingest_writes_thread_rejects_and_counts(tmp_path):
         (b"date,predicate,arg1,arg2,actor\n", b"x" * 140_000 + b",Iraq\n",
          r"locations\.csv:1: field larger than field limit"),
     ],
-    ids=["map-fields", "map-theater", "map-conflict", "map-utf8", "header", "empty", "events-utf8",
+    ids=["map-fields", "map-theater", "map-conflict", "map-quoted-newline", "map-utf8", "header", "empty", "events-utf8",
          "events-long-field", "map-long-field"],
 )
 def test_ingest_diagnostics_name_the_file_and_line(tmp_path, events, locations, message):
@@ -204,6 +205,42 @@ def test_ingest_survives_dates_near_the_calendar_end(tmp_path, date, flags):
     assert result.returncode == 0, result.stderr
     assert "into 1 periods" in result.stdout
     assert out.read_text().startswith(THREAD_MAGIC)
+
+
+def test_ingest_rejects_name_the_line_their_row_starts_on(tmp_path):
+    (tmp_path / "events.csv").write_text(
+        'date,predicate,arg1,arg2,actor\n2014-06-08,recon,Mosul,,"ISIS\nfighters"\n'
+        "bad-date,recon,Mosul,,x\n"
+    )
+    (tmp_path / "locations.csv").write_text("Mosul,Iraq\n")
+    out = tmp_path / "events.thread"
+    result = run("ingest", tmp_path / "events.csv", "--location-map", tmp_path / "locations.csv",
+                 "--epoch", "2014-06-08", "--out", out)
+    assert result.returncode == 0, result.stderr
+    assert "4\tunparseable date\tbad-date" in (tmp_path / "events.thread.rejects").read_text()
+
+
+def test_ingest_rejects_unknown_spike_series(tmp_path):
+    (tmp_path / "events.csv").write_text("date,predicate,arg1,arg2,actor\n2014-06-08,recon,Mosul,,\n")
+    (tmp_path / "locations.csv").write_text("Mosul,Iraq\n")
+    out = tmp_path / "never.thread"
+    result = run("ingest", tmp_path / "events.csv", "--location-map", tmp_path / "locations.csv",
+                 "--epoch", "2014-06-08", "--out", out, "--spike-series", "recon,nosuch",
+                 "--emit-counts", tmp_path / "never.counts")
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: ") and "nosuch" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["events.csv", "locations.csv"]
+
+
+@pytest.mark.parametrize("epoch", ["20140608", "2014-W23-1"])
+def test_ingest_epoch_must_be_year_month_day(tmp_path, epoch):
+    out = tmp_path / "never.thread"
+    result = run("ingest", tmp_path / "events.csv", "--location-map", tmp_path / "locations.csv",
+                 "--epoch", epoch, "--out", out)
+    assert result.returncode == 2
+    assert "expected YYYY-MM-DD" in result.stderr
+    assert not out.exists()
 
 
 def test_compare_rejects_repeated_and_non_action_rules(t1_thread, tmp_path):

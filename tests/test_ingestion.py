@@ -89,6 +89,8 @@ def test_parse_skips_blank_lines():
         ("2014-06-08,recon,Mosul,,x,extra", "wrong field count"),
         ("June 8th,recon,Mosul,,", "unparseable date"),
         ("2014-13-40,recon,Mosul,,", "unparseable date"),
+        ("20140608,recon,Mosul,,", "unparseable date"),
+        ("2014-W23-1,recon,Mosul,,", "unparseable date"),
         ("2014-06-08,,Mosul,,", "missing predicate"),
         ("2014-06-08,recon,,Mosul,", "gap in arguments"),
         ("2014-06-08,re(con,Mosul,,", "reserved character"),
@@ -100,6 +102,20 @@ def test_parse_rejects_bad_rows(row, reason):
     assert len(rejects) == 1
     assert rejects[0].reason == reason
     assert rejects[0].line == 2
+
+
+def test_parse_rejects_name_the_line_their_row_starts_on():
+    # The first row's actor spans lines 2-3, so the next row starts on line 4;
+    # a rejected row that itself spans lines 5-6 is named by line 5.
+    records, rejects = parse_events(
+        events_csv(
+            '2014-06-08,recon,Mosul,,"ISIS\nfighters"',
+            "bad-date,recon,Mosul,,x",
+            'bad-date,recon,Mosul,,"a\nb"',
+        )
+    )
+    assert records == [EventRecord(dt.date(2014, 6, 8), "recon", ("Mosul",), "ISIS\nfighters")]
+    assert [(r.line, r.reason) for r in rejects] == [(4, "unparseable date"), (5, "unparseable date")]
 
 
 def test_parse_reserved_char_inside_quoted_cell():
@@ -154,6 +170,18 @@ def test_unmapped_location_tolerated_off_series():
     assert rejects == []
     assert corpus.registry.find(Predicate("recon", 1), ("Atlantis",)) is not None
     assert ("recon", "Iraq") not in corpus.count_series
+
+
+def test_spike_series_must_name_an_event_predicate():
+    with pytest.raises(ValueError, match="no event has: nosuch, other$"):
+        build_corpus([event(0)], config(spike_series=("armedAtk", "other", "nosuch")))
+    # A predicate whose events were all rejected still gets its (empty) series.
+    corpus, rejects = build_corpus(
+        [event(0), event(1, predicate="recon", args=("Atlantis",))],
+        config(spike_series=("armedAtk", "recon")),
+    )
+    assert [r.reason for r in rejects] == ["unmapped location"]
+    assert corpus.count_series["recon", "Total"] == (0,)
 
 
 def test_arity_conflicts_become_rejects():
@@ -260,3 +288,9 @@ def test_load_location_map():
         load_location_map(io.StringIO("Mosul,Atlantis\n"))
     with pytest.raises(FormatError, match="conflicting"):
         load_location_map(io.StringIO("Mosul,Iraq\nMosul,Syria\n"))
+
+
+def test_location_map_errors_name_the_line_their_row_starts_on():
+    # The quoted city spans lines 1-2, so the bad theater is on line 3.
+    with pytest.raises(FormatError, match="map:3: theater"):
+        load_location_map(io.StringIO('"Mos\nul",Iraq\nRaqqa,Atlantis\n'))

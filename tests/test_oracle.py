@@ -99,12 +99,6 @@ def test_guard_refuses_oversized_instances():
         brute_force_extract(thread, registry, ExtractParams())
 
 
-def test_guard_threshold_is_adjustable():
-    thread, registry = t1_corpus()
-    with pytest.raises(OracleGuardError):
-        brute_force_extract(thread, registry, ExtractParams(max_dim=2, supp_lb=1), pair_guard=2)
-
-
 # ------------------------------------------------------ synthetic corpora
 
 
@@ -193,10 +187,3 @@ def test_sparse_benchmark_corpus_shape():
 
     again, _ = sparse_benchmark_corpus()
     assert again == thread
-
-
-def test_sparse_benchmark_corpus_validation():
-    with pytest.raises(ValueError, match="shape"):
-        sparse_benchmark_corpus(weekly_core=100, weekly_active=93)
-    with pytest.raises(ValueError, match="rare atoms"):
-        sparse_benchmark_corpus(n_env=300)

@@ -7,10 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from aptmine import (
-    NO_OCCURRENCE,
     AptRule,
     Conjunction,
-    NoOccurrence,
     RuleStats,
     Thread,
     evaluate_rule,
@@ -30,12 +28,6 @@ from aptmine.model import Atom
 from aptmine.stats import precondition_counts
 
 from conftest import corpora
-
-
-def test_no_occurrence_is_a_singleton():
-    assert NoOccurrence() is NO_OCCURRENCE
-    assert repr(NO_OCCURRENCE) == "NO_OCCURRENCE"
-    assert NO_OCCURRENCE != 0.0
 
 
 def test_priors_on_worked_example(t1):
@@ -58,25 +50,25 @@ def test_rule_probability_zero_is_not_the_marker(t1):
     # g occurs within the horizon but a never follows it: a real zero.
     value = rule_probability(thread, Conjunction([g]), a)
     assert value == 0.0
-    assert value is not NO_OCCURRENCE
+    assert value is not None
 
 
 def test_rule_probability_marker_when_precondition_never_fires(t1):
     thread, registry, a, b, g = t1
     # b and g never co-occur anywhere.
-    assert rule_probability(thread, Conjunction([b, g]), a) is NO_OCCURRENCE
+    assert rule_probability(thread, Conjunction([b, g]), a) is None
 
 
 def test_final_period_occurrence_counts_for_support_not_probability():
     thread = Thread([set(), set(), {0}])
     only_last = Conjunction([0])
     assert support(thread, only_last) == 1
-    assert rule_probability(thread, only_last, 1) is NO_OCCURRENCE
+    assert rule_probability(thread, only_last, 1) is None
 
 
 def test_single_period_thread_has_no_rule_evidence():
     thread = Thread([{0, 1}])
-    assert rule_probability(thread, Conjunction([0]), 1) is NO_OCCURRENCE
+    assert rule_probability(thread, Conjunction([0]), 1) is None
     assert negative_probability(thread, Conjunction([0]), 1) == 1.0  # vacuous at t = 1
 
 
@@ -92,7 +84,7 @@ def test_negative_probability_on_worked_example(t1):
 
 def test_negative_probability_marker_when_consequence_never_occurs(t1):
     thread, registry, a, b, g = t1
-    assert negative_probability(thread, Conjunction([a]), 99) is NO_OCCURRENCE
+    assert negative_probability(thread, Conjunction([a]), 99) is None
 
 
 def test_support_counts_the_full_range(t1):
@@ -138,6 +130,7 @@ def test_rule_sort_key_orders_by_consequence_then_atoms():
         dict(p=0.5, p_star=-0.1, rho=0.0, support=0),
         dict(p=0.5, p_star=0.0, rho=2.0, support=0),
         dict(p=0.5, p_star=0.0, rho=0.0, support=-1),
+        dict(p=0.5, p_star=0.0, rho=None, support=0),
     ],
 )
 def test_rule_stats_validation(kwargs):
@@ -146,8 +139,8 @@ def test_rule_stats_validation(kwargs):
 
 
 def test_rule_stats_accept_the_marker():
-    stats = RuleStats(p=NO_OCCURRENCE, p_star=NO_OCCURRENCE, rho=0.0, support=0)
-    assert stats.p is NO_OCCURRENCE
+    stats = RuleStats(p=None, p_star=None, rho=0.0, support=0)
+    assert stats.p is None
 
 
 # ------------------------------------------- agreement with the exact oracle
@@ -168,13 +161,13 @@ def test_statistics_match_the_fraction_oracle(case):
     thread, c, g = case
     p = rule_probability(thread, c, g)
     exact_p = exact_rule_probability(thread, c.atoms, g)
-    assert (p is NO_OCCURRENCE) == (exact_p is None)
+    assert (p is None) == (exact_p is None)
     if exact_p is not None:
         assert p == float(exact_p)
 
     p_star = negative_probability(thread, c, g)
     exact_ps = exact_negative_probability(thread, c.atoms, g)
-    assert (p_star is NO_OCCURRENCE) == (exact_ps is None)
+    assert (p_star is None) == (exact_ps is None)
     if exact_ps is not None:
         assert p_star == float(exact_ps)
 
@@ -190,7 +183,7 @@ def test_statistics_stay_in_range(case):
         negative_probability(thread, c, g),
         prior(thread, g),
     ):
-        if value is not NO_OCCURRENCE:
+        if value is not None:
             assert 0.0 <= value <= 1.0
     assert 0 <= support(thread, c) <= thread.t_max
 
