@@ -1,8 +1,10 @@
 """Command line interface: ingest, mine, compare, report, synth.
 
 Outputs are written atomically after all computation succeeds, so a failed
-invocation leaves no partial files.  Exit codes: 0 on success, 1 on any
-domain or I/O error (diagnostic on stderr), 2 on usage errors (argparse).
+invocation leaves no partial files, and a command refuses an output path
+that names one of its inputs or another of its outputs.  Exit codes: 0 on
+success, 1 on any domain or I/O error (diagnostic on stderr), 2 on usage
+errors (argparse).
 """
 
 from __future__ import annotations
@@ -153,7 +155,27 @@ def _read_csv(path: Path, parse):
             raise
 
 
+def _check_outputs(inputs: dict[str, Path], outputs: dict[str, Path | None]) -> None:
+    """Refuse an output that resolves to one of the inputs or to another output.
+
+    Both map the argument's name to its path, for the diagnostic.
+    """
+    seen = {path.resolve(): f"{name} {path}" for name, path in inputs.items()}
+    for name, path in outputs.items():
+        if path is None:
+            continue
+        key = path.resolve()
+        if key in seen:
+            raise AptmineError(f"{name} {path} is the same file as {seen[key]}")
+        seen[key] = f"{name} {path}"
+
+
 def _cmd_ingest(args: argparse.Namespace) -> int:
+    rejects_path = args.rejects if args.rejects is not None else Path(f"{args.out}.rejects")
+    _check_outputs(
+        {"events": args.events, "--location-map": args.location_map},
+        {"--out": args.out, "--rejects": rejects_path, "--emit-counts": args.emit_counts},
+    )
     location_map = _read_csv(args.location_map, load_location_map)
     spike_series = None
     if args.spike_series is not None:
@@ -175,11 +197,19 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         "thresholds": ",".join(f"{k:g}" for k in args.thresholds),
         "spike_series": args.spike_series if args.spike_series is not None else "auto",
     }
-    save_thread(args.out, corpus.thread, corpus.registry, params)
-    rejects_path = args.rejects if args.rejects is not None else Path(f"{args.out}.rejects")
-    save_rejects(rejects_path, [*parse_rejects, *build_rejects], params)
-    if args.emit_counts is not None:
-        save_counts(args.emit_counts, corpus.count_series, params)
+    written: list[Path] = []
+    try:
+        save_thread(args.out, corpus.thread, corpus.registry, params)
+        written.append(args.out)
+        save_rejects(rejects_path, [*parse_rejects, *build_rejects], params)
+        written.append(rejects_path)
+        if args.emit_counts is not None:
+            save_counts(args.emit_counts, corpus.count_series, params)
+    except BaseException:
+        # A failed run leaves no outputs, not the first of several.
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
     total_rejects = len(parse_rejects) + len(build_rejects)
     print(
         f"ingested {len(events) - len(build_rejects)} events into "
@@ -190,6 +220,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_mine(args: argparse.Namespace) -> int:
+    _check_outputs({"thread": args.thread}, {"--out": args.out})
     thread, registry, _ = load_thread(args.thread)
     params = ExtractParams(max_dim=args.max_dim, supp_lb=args.supp_lb, min_prob=args.min_prob)
     report = pf_rule_extract(thread, registry, params)
@@ -207,6 +238,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    _check_outputs({"rules": args.rules, "thread": args.thread}, {"--out": args.out})
     thread, registry, _ = load_thread(args.thread)
     rules, _ = load_rules(args.rules, registry)
     ranked = pf_rule_compare(thread, rules, k=args.k)
@@ -261,6 +293,7 @@ def _render_report(records) -> str:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    _check_outputs({"scored": args.scored}, {"--out": args.out})
     records, _ = load_scored(args.scored)
     text = _render_report(records)
     if args.out is None:

@@ -48,7 +48,10 @@ def write_atomic(path: str | Path, text: str) -> None:
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)

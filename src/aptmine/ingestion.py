@@ -2,7 +2,7 @@
 spike detection, and thread/registry construction.
 
 Parsing and building never drop a row silently: anything unusable lands in
-a reject report with its line (or event index) and a reason.  Only a
+a reject report with the CSV line its row starts on and a reason.  Only a
 malformed header is a hard failure.  Built corpora are independent of the
 input row order: accepted events are canonically sorted before atoms are
 interned, so equal event multisets yield bit-identical threads.
@@ -23,6 +23,7 @@ from .spikes import SpikeConfig, spike_atoms
 EXPECTED_HEADER = ("date", "predicate", "arg1", "arg2", "actor")
 THEATERS = ("Iraq", "Syria")
 TOTAL_THEATER = "Total"
+SPIKE_SUFFIX = "Spike"  # spike atoms are <predicate>Spike(theater, <k>sigma)
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
@@ -36,26 +37,17 @@ class EmptyCorpusError(AptmineError):
 
 @dataclass(frozen=True, slots=True)
 class EventRecord:
-    """One incident: what happened, where, when, and by whom."""
+    """One incident: what happened, where and when, and the CSV line its row starts on."""
 
     date: dt.date
     predicate: str
     args: tuple[str, ...]
-    actor: str | None = None
-
-    @property
-    def location(self) -> str | None:
-        """Convention: the last argument names the location."""
-        return self.args[-1] if self.args else None
+    line: int
 
 
 @dataclass(frozen=True, slots=True)
 class Reject:
-    """A row or event that could not be used, and why.
-
-    ``line`` is the CSV line the row starts on for parse rejects and the
-    index into the event list for build rejects.
-    """
+    """A row that could not be used, the CSV line it starts on, and why."""
 
     line: int
     reason: str
@@ -155,7 +147,7 @@ def parse_events(source: BinaryIO | io.TextIOBase) -> tuple[list[EventRecord], l
         if len(row) != len(EXPECTED_HEADER):
             rejects.append(Reject(line, "wrong field count", ",".join(row)))
             continue
-        raw_date, raw_pred, raw_a1, raw_a2, raw_actor = (cell.strip() for cell in row)
+        raw_date, raw_pred, raw_a1, raw_a2, _ = (cell.strip() for cell in row)
         try:
             date = parse_date(raw_date)
         except ValueError:
@@ -163,6 +155,9 @@ def parse_events(source: BinaryIO | io.TextIOBase) -> tuple[list[EventRecord], l
             continue
         if not raw_pred:
             rejects.append(Reject(line, "missing predicate", ",".join(row)))
+            continue
+        if raw_pred.endswith(SPIKE_SUFFIX):
+            rejects.append(Reject(line, "reserved predicate", raw_pred))
             continue
         if not raw_a1 and raw_a2:
             rejects.append(Reject(line, "gap in arguments", ",".join(row)))
@@ -174,7 +169,7 @@ def parse_events(source: BinaryIO | io.TextIOBase) -> tuple[list[EventRecord], l
         if bad is not None:
             rejects.append(Reject(line, "reserved character", bad))
             continue
-        records.append(EventRecord(date, raw_pred, args, raw_actor or None))
+        records.append(EventRecord(date, raw_pred, args, line))
     return records, rejects
 
 
@@ -226,38 +221,39 @@ def build_corpus(
         raise ValueError(f"spike_series names predicates that no event has: {', '.join(unknown)}")
 
     rejects: list[Reject] = []
-    accepted: list[tuple[int, str | None, int, EventRecord]] = []
-    for index, event in enumerate(events):
+    accepted: list[tuple[int, str | None, EventRecord]] = []
+    for event in events:
         days = (event.date - config.epoch).days
         if days < 0:
-            rejects.append(Reject(index, "date before epoch", event.date.isoformat()))
+            rejects.append(Reject(event.line, "date before epoch", event.date.isoformat()))
             continue
         period = days // config.period_days + 1
-        theater = config.location_map.get(event.location) if event.location else None
+        # Convention: the last argument names the location.
+        location = event.args[-1] if event.args else None
+        theater = config.location_map.get(location) if location else None
         if event.predicate in series_predicates and theater is None:
-            rejects.append(
-                Reject(index, "unmapped location", event.location or "<no location>")
-            )
+            rejects.append(Reject(event.line, "unmapped location", location or "<no location>"))
             continue
-        accepted.append((period, theater, index, event))
+        accepted.append((period, theater, event))
     if not accepted:
         raise EmptyCorpusError("every event was rejected")
 
     # Canonical order: interning below must not depend on input row order.
-    accepted.sort(key=lambda item: (item[0], item[3].predicate, item[3].args, item[3].actor or ""))
-    t_max = max(period for period, _, _, _ in accepted)
+    # Events that tie intern the same atom, so their relative order cannot matter.
+    accepted.sort(key=lambda item: (item[0], item[2].predicate, item[2].args))
+    t_max = max(period for period, _, _ in accepted)
 
     registry = AtomRegistry()
     worlds: list[set[int]] = [set() for _ in range(t_max)]
     raw_counts: dict[tuple[str, str], list[int]] = {}
     observed: set[str] = set()
-    for period, theater, index, event in accepted:
+    for period, theater, event in accepted:
         try:
             atom = registry.intern(Predicate(event.predicate, len(event.args)), event.args)
         except (AptmineError, ValueError) as exc:
             # Arity conflicts and reserved characters both land here; rows
             # that came through parse_events can only hit the arity case.
-            rejects.append(Reject(index, "uninternable atom", str(exc)))
+            rejects.append(Reject(event.line, "uninternable atom", str(exc)))
             continue
         registry.mark_env(atom)
         worlds[period - 1].add(atom)
@@ -283,7 +279,7 @@ def build_corpus(
             count_series[predicate, theater] = counts
             for period, threshold in spike_atoms(counts, config.spike_config):
                 atom = registry.intern(
-                    Predicate(f"{predicate}Spike", 2), (theater, sigma_label(threshold))
+                    Predicate(predicate + SPIKE_SUFFIX, 2), (theater, sigma_label(threshold))
                 )
                 registry.mark_action(atom)
                 registry.mark_env(atom)

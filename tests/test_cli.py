@@ -210,14 +210,46 @@ def test_ingest_survives_dates_near_the_calendar_end(tmp_path, date, flags):
 def test_ingest_rejects_name_the_line_their_row_starts_on(tmp_path):
     (tmp_path / "events.csv").write_text(
         'date,predicate,arg1,arg2,actor\n2014-06-08,recon,Mosul,,"ISIS\nfighters"\n'
-        "bad-date,recon,Mosul,,x\n"
+        "bad-date,recon,Mosul,,x\n2014-06-09,recon,Atlantis,,x\n"
     )
     (tmp_path / "locations.csv").write_text("Mosul,Iraq\n")
     out = tmp_path / "events.thread"
     result = run("ingest", tmp_path / "events.csv", "--location-map", tmp_path / "locations.csv",
                  "--epoch", "2014-06-08", "--out", out)
     assert result.returncode == 0, result.stderr
-    assert "4\tunparseable date\tbad-date" in (tmp_path / "events.thread.rejects").read_text()
+    records = (tmp_path / "events.thread.rejects").read_text().splitlines()[2:]
+    assert records == ["4\tunparseable date\tbad-date", "5\tunmapped location\tAtlantis"]
+
+
+@pytest.mark.parametrize("flag", ["--rejects", "--emit-counts"])
+def test_failed_ingest_write_leaves_no_outputs(tmp_path, flag):
+    (tmp_path / "events.csv").write_text("date,predicate,arg1,arg2,actor\n2014-06-08,recon,Mosul,,\n")
+    (tmp_path / "locations.csv").write_text("Mosul,Iraq\n")
+    target = tmp_path / "nodir" / "never.txt"
+    result = run("ingest", tmp_path / "events.csv", "--location-map", tmp_path / "locations.csv",
+                 "--epoch", "2014-06-08", "--out", tmp_path / "never.thread", flag, target)
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: ") and f"{target}'" in result.stderr, result.stderr
+    assert "Traceback" not in result.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["events.csv", "locations.csv"]
+
+
+def test_ingest_rejects_predicates_named_like_spike_atoms(tmp_path):
+    (tmp_path / "events.csv").write_text(
+        "date,predicate,arg1,arg2,actor\n"
+        + "".join(f"2014-06-{day:02},armedAtk,Mosul,,x\n" for day in (8, 15))
+        + "2014-06-15,armedAtkSpike,Iraq,1sigma,x\n"
+        + "2014-06-15,armedAtkSpike,Mosul,,x\n"
+    )
+    (tmp_path / "locations.csv").write_text("Mosul,Iraq\n")
+    for flags in (["--spike-series", "armedAtk"], []):
+        out = tmp_path / "events.thread"
+        result = run("ingest", tmp_path / "events.csv", "--location-map", tmp_path / "locations.csv",
+                     "--epoch", "2014-06-08", "--out", out, *flags)
+        assert result.returncode == 0, result.stderr
+        assert "armedAtkSpike" not in out.read_text()
+        records = (tmp_path / "events.thread.rejects").read_text().splitlines()[2:]
+        assert records == ["4\treserved predicate\tarmedAtkSpike", "5\treserved predicate\tarmedAtkSpike"]
 
 
 def test_ingest_rejects_unknown_spike_series(tmp_path):
@@ -258,6 +290,40 @@ def test_compare_rejects_repeated_and_non_action_rules(t1_thread, tmp_path):
         assert result.returncode == 1
         assert message in result.stderr
         assert not (tmp_path / "never.scored").exists()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["mine", "T", "--out", "T"], "--out T is the same file as thread T"),
+        (["compare", "R", "T", "--out", "R"], "--out R is the same file as rules R"),
+        (["compare", "R", "T", "--out", "T"], "--out T is the same file as thread T"),
+        (["ingest", "E", "--location-map", "M", "--epoch", "2014-06-08", "--out", "E"],
+         "--out E is the same file as events E"),
+        (["ingest", "E", "--location-map", "M", "--epoch", "2014-06-08", "--out", "O",
+          "--emit-counts", "O"], "--emit-counts O is the same file as --out O"),
+        (["ingest", "E", "--location-map", "M", "--epoch", "2014-06-08", "--out", "O",
+          "--rejects", "O"], "--rejects O is the same file as --out O"),
+        (["report", "S", "--out", "S"], "--out S is the same file as scored S"),
+    ],
+    ids=["mine", "compare-rules", "compare-thread", "ingest-events", "counts-out", "rejects-out",
+         "report"],
+)
+def test_outputs_may_not_overwrite_inputs_or_each_other(t1_thread, tmp_path, args, message):
+    files = {"T": t1_thread, "R": tmp_path / "t1.rules", "S": tmp_path / "t1.scored",
+             "E": tmp_path / "events.csv", "M": tmp_path / "locations.csv", "O": tmp_path / "o.thread"}
+    assert run("mine", t1_thread, "--out", files["R"], "--max-dim", "2", "--supp-lb", "1").returncode == 0
+    assert run("compare", files["R"], t1_thread, "--out", files["S"]).returncode == 0
+    files["E"].write_text("date,predicate,arg1,arg2,actor\n2014-06-08,recon,Mosul,,\n")
+    files["M"].write_text("Mosul,Iraq\n")
+    before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    result = run(*(files.get(arg, arg) for arg in args))
+    assert result.returncode == 1
+    # The two sides name their files as given on the command line.
+    for name, path in files.items():
+        message = message.replace(f" {name}", f" {path}")
+    assert message in result.stderr, result.stderr
+    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
 def test_missing_input_exits_one_without_partial_output(tmp_path):

@@ -53,7 +53,7 @@ def registry_snapshot(registry):
 def spiky_corpus():
     events = [
         EventRecord(dt.date(2014, 6, 8) + dt.timedelta(days=7 * week), "armedAtk",
-                    ("ISIS", "Mosul"))
+                    ("ISIS", "Mosul"), 2)
         for week, n in enumerate([1, 3, 1, 3, 8])
         for _ in range(n)
     ]

@@ -35,8 +35,8 @@ def day(offset):
     return EPOCH + dt.timedelta(days=offset)
 
 
-def event(offset, predicate="armedAtk", args=("ISIS", "Mosul"), actor=None):
-    return EventRecord(day(offset), predicate, args, actor)
+def event(offset, predicate="armedAtk", args=("ISIS", "Mosul"), line=2):
+    return EventRecord(day(offset), predicate, args, line)
 
 
 # ---------------------------------------------------------------- parsing
@@ -52,12 +52,10 @@ def test_parse_happy_path():
     )
     assert rejects == []
     assert records == [
-        EventRecord(dt.date(2014, 6, 8), "armedAtk", ("ISIS", "Mosul"), "ISIS"),
-        EventRecord(dt.date(2014, 6, 9), "recon", ("Raqqa",), None),
-        EventRecord(dt.date(2014, 6, 10), "ceasefire", (), None),
+        EventRecord(dt.date(2014, 6, 8), "armedAtk", ("ISIS", "Mosul"), 2),
+        EventRecord(dt.date(2014, 6, 9), "recon", ("Raqqa",), 3),
+        EventRecord(dt.date(2014, 6, 10), "ceasefire", (), 4),
     ]
-    assert records[0].location == "Mosul"
-    assert records[2].location is None
 
 
 def test_parse_accepts_binary_streams():
@@ -94,6 +92,7 @@ def test_parse_skips_blank_lines():
         ("2014-06-08,,Mosul,,", "missing predicate"),
         ("2014-06-08,recon,,Mosul,", "gap in arguments"),
         ("2014-06-08,re(con,Mosul,,", "reserved character"),
+        ("2014-06-08,armedAtkSpike,Iraq,1sigma,", "reserved predicate"),
     ],
 )
 def test_parse_rejects_bad_rows(row, reason):
@@ -114,8 +113,25 @@ def test_parse_rejects_name_the_line_their_row_starts_on():
             'bad-date,recon,Mosul,,"a\nb"',
         )
     )
-    assert records == [EventRecord(dt.date(2014, 6, 8), "recon", ("Mosul",), "ISIS\nfighters")]
+    assert records == [EventRecord(dt.date(2014, 6, 8), "recon", ("Mosul",), 2)]
     assert [(r.line, r.reason) for r in rejects] == [(4, "unparseable date"), (5, "unparseable date")]
+
+
+def test_every_reject_names_the_line_its_row_starts_on():
+    # The first row's actor spans lines 2-3; a parse reject follows on line 4
+    # and a build reject on line 5.
+    records, parse_rejects = parse_events(
+        events_csv(
+            '2014-06-08,recon,Mosul,,"ISIS\nfighters"',
+            "bad-date,recon,Mosul,,x",
+            "2014-06-09,recon,Atlantis,,x",
+        )
+    )
+    _, build_rejects = build_corpus(records, config())
+    assert [(r.line, r.reason) for r in [*parse_rejects, *build_rejects]] == [
+        (4, "unparseable date"),
+        (5, "unmapped location"),
+    ]
 
 
 def test_parse_reserved_char_inside_quoted_cell():
@@ -137,7 +153,7 @@ def test_periods_are_seven_day_buckets_from_the_epoch():
 
 def test_late_december_lands_in_period_thirty():
     corpus, _ = build_corpus([event(0), EventRecord(dt.date(2014, 12, 31), "armedAtk",
-                                                    ("ISIS", "Mosul"))], config())
+                                                    ("ISIS", "Mosul"), 3)], config())
     assert corpus.thread.t_max == 30
 
 
@@ -249,7 +265,7 @@ def test_built_corpus_is_independent_of_event_order():
         weekly_events("Mosul", [4, 0, 4, 0, 5])
         + weekly_events("Raqqa", [0, 4, 0, 4, 5])
         + weekly_events("Falluja", [1, 1, 0, 2, 0], predicate="recon")
-        + [event(3, predicate="kidnap", args=("Mosul",), actor="ISIS")]
+        + [event(3, predicate="kidnap", args=("Mosul",))]
     )
     reference = None
     rng = random.Random(0)
