@@ -179,7 +179,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     location_map = _read_csv(args.location_map, load_location_map)
     spike_series = None
     if args.spike_series is not None:
-        spike_series = tuple(p for p in args.spike_series.split(",") if p)
+        spike_series = tuple(sorted({p for p in args.spike_series.split(",") if p}))
     config = CorpusConfig(
         epoch=args.epoch,
         location_map=location_map,
@@ -195,7 +195,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         "period_days": str(args.period_days),
         "window": str(args.window),
         "thresholds": ",".join(f"{k:g}" for k in args.thresholds),
-        "spike_series": args.spike_series if args.spike_series is not None else "auto",
+        "spike_series": ",".join(spike_series) if spike_series is not None else "auto",
     }
     written: list[Path] = []
     try:

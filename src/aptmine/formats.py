@@ -44,7 +44,8 @@ def write_atomic(path: str | Path, text: str) -> None:
 
     The temp file is created exclusively under a random name, so concurrent
     writers never share one, and with mode 0o666 so the umask applies as it
-    would to a plain write (mkstemp would make it 0o600).
+    would to a plain write (mkstemp would make it 0o600).  An OSError from
+    creating or renaming the temp file names the target, not the temp file.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
@@ -57,7 +58,10 @@ def write_atomic(path: str | Path, text: str) -> None:
             handle.write(text)
             handle.flush()
             os.fsync(handle.fileno())
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
     except BaseException:
         os.unlink(tmp)
         raise
@@ -392,10 +396,14 @@ def save_counts(
     write_atomic(path, format_counts(count_series, params))
 
 
+# The tab and every line boundary str.splitlines() knows: one record per line.
+_DETAIL_SEPARATORS = str.maketrans(dict.fromkeys("\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029", " "))
+
+
 def format_rejects(rejects: Iterable[Reject], params: Mapping[str, str]) -> str:
     lines = [REJECTS_MAGIC, _params_line(params)]
     for reject in rejects:
-        detail = reject.detail.replace("\t", " ").replace("\n", " ")
+        detail = reject.detail.translate(_DETAIL_SEPARATORS)
         lines.append("\t".join([str(reject.line), reject.reason, detail]))
     return "\n".join(lines) + "\n"
 

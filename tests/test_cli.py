@@ -1,5 +1,6 @@
 """End-to-end command line tests, run through the real subprocess boundary."""
 
+import datetime as dt
 import re
 import subprocess
 import sys
@@ -120,8 +121,6 @@ def test_ingest_writes_thread_rejects_and_counts(tmp_path):
     events = tmp_path / "events.csv"
     rows = ["date,predicate,arg1,arg2,actor"]
     epoch_days = {0: 1, 7: 3, 14: 1, 21: 3, 28: 8}
-    import datetime as dt
-
     for offset, n in epoch_days.items():
         date = (dt.date(2014, 6, 8) + dt.timedelta(days=offset)).isoformat()
         rows.extend(f"{date},armedAtk,ISIS,Mosul,ISIS" for _ in range(n))
@@ -265,6 +264,66 @@ def test_ingest_rejects_unknown_spike_series(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["events.csv", "locations.csv"]
 
 
+def weekly_bombings(tmp_path):
+    """A weekly bombing series in Mosul whose ninth week spikes, plus its location map."""
+    counts = [1, 1, 1, 1, 1, 1, 1, 1, 6, 1, 1, 1]
+    epoch = dt.date(2014, 6, 8)
+    dates = [epoch + dt.timedelta(weeks=week) for week, n in enumerate(counts) for _ in range(n)]
+    (tmp_path / "events.csv").write_text(
+        "date,predicate,arg1,arg2,actor\n" + "".join(f"{d},bombing,Mosul,,x\n" for d in dates)
+    )
+    (tmp_path / "locations.csv").write_text("Mosul,Iraq\n")
+    return ["ingest", tmp_path / "events.csv", "--location-map", tmp_path / "locations.csv",
+            "--epoch", "2014-06-08"]
+
+
+def test_ingest_rejects_thresholds_that_share_a_sigma_label(tmp_path):
+    result = run(*weekly_bombings(tmp_path), "--out", tmp_path / "never.thread",
+                 "--thresholds", "1.0000001,1.0000002")
+    assert result.returncode == 1
+    assert "thresholds 1.0000001 and 1.0000002 both render as 1sigma" in result.stderr, result.stderr
+    assert "Traceback" not in result.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["events.csv", "locations.csv"]
+
+
+@pytest.mark.parametrize("series", ["", ","])
+def test_ingest_spike_series_must_name_a_predicate(tmp_path, series):
+    result = run(*weekly_bombings(tmp_path), "--out", tmp_path / "never.thread", "--spike-series", series)
+    assert result.returncode == 1
+    assert result.stderr == "error: spike_series must name at least one predicate\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["events.csv", "locations.csv"]
+
+
+def test_ingest_records_the_parsed_spike_series(tmp_path):
+    texts = []
+    for series in ("bombing", "bombing,,bombing"):
+        out = tmp_path / "events.thread"
+        result = run(*weekly_bombings(tmp_path), "--out", out, "--spike-series", series)
+        assert result.returncode == 0, result.stderr
+        texts.append(out.read_text())
+    assert texts[0] == texts[1]
+    assert "\tspike_series=bombing\n" in texts[0]
+    assert "bombingSpike\tIraq\t1sigma" in texts[0]
+
+
+def test_ingest_lists_build_rejects_by_line(tmp_path):
+    # recon(Mosul) on line 3 is interned first (period 1); lines 4 and 2
+    # conflict with its arity in period order, but are listed by line.
+    (tmp_path / "events.csv").write_text(
+        "date,predicate,arg1,arg2,actor\n2014-06-22,recon,X,Mosul,a\n"
+        "2014-06-08,recon,Mosul,,a\n2014-06-15,recon,Y,Mosul,a\n"
+    )
+    (tmp_path / "locations.csv").write_text("Mosul,Iraq\n")
+    out = tmp_path / "events.thread"
+    result = run("ingest", tmp_path / "events.csv", "--location-map", tmp_path / "locations.csv",
+                 "--epoch", "2014-06-08", "--out", out)
+    assert result.returncode == 0, result.stderr
+    records = (tmp_path / "events.thread.rejects").read_text().splitlines()[2:]
+    assert [record.split("\t")[:2] for record in records] == [
+        ["2", "uninternable atom"], ["4", "uninternable atom"]
+    ]
+
+
 @pytest.mark.parametrize("epoch", ["20140608", "2014-W23-1"])
 def test_ingest_epoch_must_be_year_month_day(tmp_path, epoch):
     out = tmp_path / "never.thread"
@@ -324,6 +383,17 @@ def test_outputs_may_not_overwrite_inputs_or_each_other(t1_thread, tmp_path, arg
         message = message.replace(f" {name}", f" {path}")
     assert message in result.stderr, result.stderr
     assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+def test_output_that_is_a_directory_is_named_in_the_error(t1_thread, tmp_path):
+    outdir = tmp_path / "outdir"
+    outdir.mkdir()
+    result = run("mine", t1_thread, "--out", outdir)
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: ") and f"'{outdir}'" in result.stderr, result.stderr
+    assert ".tmp" not in result.stderr and "Traceback" not in result.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["outdir", "t1.thread"]
+    assert list(outdir.iterdir()) == []
 
 
 def test_missing_input_exits_one_without_partial_output(tmp_path):

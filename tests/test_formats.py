@@ -453,6 +453,15 @@ def test_counts_and_rejects_formats():
     ]
 
 
+def test_rejects_keep_one_record_per_line():
+    # The tab, then every line boundary str.splitlines() recognises.
+    separators = "\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+    rejects = [Reject(n, "reserved character", f"bomb{ch}x") for n, ch in enumerate(separators, start=2)]
+    lines = format_rejects(rejects, {}).splitlines()
+    assert len(lines) == 2 + len(rejects)
+    assert lines[2:] == [f"{n}\treserved character\tbomb x" for n in range(2, 2 + len(separators))]
+
+
 def test_write_atomic_leaves_no_temp_files(tmp_path):
     target = tmp_path / "out.txt"
     foreign = tmp_path / "out.txt.tmp"  # another run's temp file

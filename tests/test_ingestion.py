@@ -12,6 +12,7 @@ from aptmine import (
     EventRecord,
     FormatError,
     Predicate,
+    SpikeConfig,
     build_corpus,
     load_location_map,
     parse_events,
@@ -209,6 +210,37 @@ def test_arity_conflicts_become_rejects():
     assert [r.reason for r in rejects] == ["uninternable atom"]
     assert len(corpus.registry.env_set) == 1
 
+    # recon(Mosul) is interned first (period 1), so both arity-2 rows are
+    # rejected, listed by line although their periods run the other way.
+    records, parse_rejects = parse_events(events_csv(
+        "2014-06-22,recon,X,Mosul,a", "2014-06-08,recon,Mosul,,a", "2014-06-15,recon,Y,Mosul,a"
+    ))
+    _, rejects = build_corpus(records, CorpusConfig(epoch=EPOCH, location_map={"Mosul": "Iraq"}))
+    assert parse_rejects == []
+    assert [(r.line, r.reason) for r in rejects] == [(2, "uninternable atom"), (4, "uninternable atom")]
+
+
+def test_atom_ids_follow_first_period_then_predicate_and_args():
+    records, _ = parse_events(events_csv(
+        "2014-06-29,recon,Mosul,,x",            # period 4
+        "2014-06-22,recon,Raqqa,,x",            # period 3
+        "2014-06-10,kidnap,ISIS,Raqqa,x",       # period 1
+        "2014-06-08,armedAtk,ISIS,Raqqa,x",     # period 1
+        "2014-06-09,armedAtk,ISIS,Falluja,x",   # period 1
+        "2014-06-16,recon,Mosul,,x",            # period 2: recon(Mosul) first occurs here
+        "2014-06-15,armedAtk,ISIS,Mosul,x",     # period 2
+    ))
+    corpus, rejects = build_corpus(records, config())
+    assert rejects == []
+    assert [corpus.registry.render(i) for i in range(len(corpus.registry))] == [
+        "armedAtk(ISIS,Falluja)",
+        "armedAtk(ISIS,Raqqa)",
+        "kidnap(ISIS,Raqqa)",
+        "armedAtk(ISIS,Mosul)",
+        "recon(Mosul)",
+        "recon(Raqqa)",
+    ]
+
 
 def test_empty_corpus_errors():
     with pytest.raises(EmptyCorpusError):
@@ -266,17 +298,24 @@ def test_built_corpus_is_independent_of_event_order():
         + weekly_events("Raqqa", [0, 4, 0, 4, 5])
         + weekly_events("Falluja", [1, 1, 0, 2, 0], predicate="recon")
         + [event(3, predicate="kidnap", args=("Mosul",))]
+        # Rejected: an arity conflict, a date before the epoch, an unmapped location.
+        + [event(4, predicate="kidnap", args=("Mosul", "Raqqa"), line=10),
+           event(-2, line=11),
+           event(5, args=("ISIS", "Atlantis"), line=12)]
     )
     reference = None
     rng = random.Random(0)
     for _ in range(5):
         shuffled = list(events)
         rng.shuffle(shuffled)
-        corpus, _ = build_corpus(shuffled, config())
+        corpus, rejects = build_corpus(shuffled, config())
         text = format_thread(corpus.thread, corpus.registry, {"case": "shuffle"})
         if reference is None:
-            reference = text
-        assert text == reference
+            reference = text, rejects
+        assert (text, rejects) == reference
+    assert [(r.line, r.reason) for r in rejects] == [
+        (10, "uninternable atom"), (11, "date before epoch"), (12, "unmapped location")
+    ]
 
 
 def test_sigma_label_formats():
@@ -292,6 +331,11 @@ def test_config_validation():
         CorpusConfig(epoch=EPOCH, location_map={"Mosul": "Atlantis"})
     with pytest.raises(TypeError, match="not the str"):
         config(spike_series="armedAtk")
+    with pytest.raises(ValueError, match="at least one predicate"):
+        config(spike_series=())
+    with pytest.raises(ValueError, match=r"thresholds 1\.0000001 and 1\.0000002 both render as 1sigma"):
+        config(spike_config=SpikeConfig(thresholds=(1.0000001, 1.0000002)))
+    config(spike_config=SpikeConfig(thresholds=(1.0, 1.5, 2.0)))  # distinct labels
 
 
 def test_load_location_map():
