@@ -7,11 +7,12 @@ eps_min and eps_frac summarize its deltas over the whole group.  When the
 second precondition never occurs without the first, p_notfirst is taken as
 0 and the pair is flagged NeverSeparated rather than dropped.
 
-Grouped scoring is vectorized: each precondition becomes one 0/1 row built
-from its fired mask (stats.fired_times, the times with a successor world),
+Both paths count through the group's stats.ConsequenceCounter.  Grouped
+scoring is vectorized: each precondition becomes one 0/1 row built from
+its mask cut to the counter's horizon (the times with a successor world),
 and every pairwise count is an integer-valued matrix product.  Co-fired
-counts use only the qualifying columns (stats.qualifying_times, the times
-whose successor world holds the consequence).  Counts never exceed t_max,
+counts use only the counter's qualifying columns (the times whose
+successor world holds the consequence).  Counts never exceed t_max,
 far below 2**53, so the float64 arithmetic is exact and the batched path
 is bit-identical to the scalar one (causal_scores), which remains the
 readable reference.  Each batched row is aggregated in numpy (eps_avg by
@@ -26,15 +27,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .model import AptmineError, AtomId, Thread
-from .stats import (
-    AptRule,
-    RuleStats,
-    evaluate_rule,
-    fired_times,
-    precondition_counts,
-    qualifying_times,
-    rule_sort_key,
-)
+from .stats import AptRule, ConsequenceCounter, RuleStats, evaluate_rule, rule_sort_key
 
 if TYPE_CHECKING:
     import numpy as np
@@ -83,7 +76,7 @@ def related(thread: Thread, r: AptRule, r2: AptRule) -> bool:
     if r.consequence != r2.consequence:
         return False
     both = thread.times_mask(r.precondition.atoms) & thread.times_mask(r2.precondition.atoms)
-    return precondition_counts(thread, both, r.consequence).hits > 0
+    return bool(both & ConsequenceCounter(thread, r.consequence).qualifying)
 
 
 def pair_probs(thread: Thread, r: AptRule, r2: AptRule) -> PairProbs:
@@ -92,8 +85,9 @@ def pair_probs(thread: Thread, r: AptRule, r2: AptRule) -> PairProbs:
         raise UnrelatedRulesError(f"rules {r} and {r2} are not related on this thread")
     first = thread.times_mask(r.precondition.atoms)
     second = thread.times_mask(r2.precondition.atoms)
-    p_both = precondition_counts(thread, first & second, r.consequence).p
-    p_notfirst = precondition_counts(thread, second & ~first, r.consequence).p
+    counter = ConsequenceCounter(thread, r.consequence)
+    p_both = counter.p(first & second)
+    p_notfirst = counter.p(second & ~first)
     if p_notfirst is None:
         return PairProbs(p_both, 0.0, True)
     return PairProbs(p_both, p_notfirst, False)
@@ -160,9 +154,10 @@ def _score_group(
     import numpy as np
 
     n = len(members)
-    fired = [fired_times(thread, thread.times_mask(rule.precondition.atoms)) for rule, _ in members]
+    counter = ConsequenceCounter(thread, consequence)
+    fired = [thread.times_mask(rule.precondition.atoms) & counter.horizon for rule, _ in members]
     rows = _bit_rows(fired, thread.t_max).astype(np.float64)
-    goal_cols = np.flatnonzero(_bit_rows([qualifying_times(thread, consequence)], thread.t_max)[0])
+    goal_cols = np.flatnonzero(_bit_rows([counter.qualifying], thread.t_max)[0])
     co_rows = rows[:, goal_cols]        # fired at t with the consequence at t+1
     hits = co_rows.sum(axis=1)          # per-rule fired counts
     occur = rows.sum(axis=1)            # per-rule restricted supports

@@ -179,7 +179,9 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     location_map = _read_csv(args.location_map, load_location_map)
     spike_series = None
     if args.spike_series is not None:
-        spike_series = tuple(sorted({p for p in args.spike_series.split(",") if p}))
+        # Stripped like the CSV cells they must match; empty parts are dropped.
+        names = (part.strip() for part in args.spike_series.split(","))
+        spike_series = tuple(sorted({name for name in names if name}))
     config = CorpusConfig(
         epoch=args.epoch,
         location_map=location_map,

@@ -3,10 +3,12 @@
 For each occurring action atom g, a candidate precondition is a set S of
 frequent environmental atoms, without g and with at most max_dim atoms,
 whose occurrence mask meets a qualifying time (t <= t_max - 1 with g in
-the successor world): times_mask(S) & qualifying_times(thread, g) != 0.
+the successor world), a bit of stats.ConsequenceCounter(thread, g).qualifying.
 One depth-first walk over the sorted pool finds them, carrying each
 prefix's mask down, and each is evaluated once, from its mask, against
-the support, prior, and minimum-probability gates.
+the support, prior, and minimum-probability gates.  g's counter is built
+once and gives p and p* straight from the mask; AptRule and RuleStats are
+built only for the rules that pass.
 
 Nothing that could pass the gates is lost.  A set with an infrequent atom
 fails the support gate.  A set whose mask misses every qualifying time has
@@ -30,13 +32,7 @@ from .model import (
     FrozenRegistryError,
     Thread,
 )
-from .stats import (
-    AptRule,
-    RuleStats,
-    precondition_counts,
-    prior,
-    qualifying_times,
-)
+from .stats import AptRule, ConsequenceCounter, RuleStats, prior
 
 
 class EmptyConsequenceError(AptmineError):
@@ -120,7 +116,7 @@ def candidate_preconditions(
     """
     if not thread.time_mask(consequence):
         raise EmptyConsequenceError(f"consequence atom {consequence} never occurs in the thread")
-    qualifying = qualifying_times(thread, consequence)
+    qualifying = ConsequenceCounter(thread, consequence).qualifying
     pool = sorted(frequent - {consequence})
     roots = [(a, m) for a in pool if (m := thread.time_mask(a)) & qualifying]
     return _walk((), roots, qualifying, params.max_dim)
@@ -163,20 +159,23 @@ def pf_rule_extract(
         active_env_counts.append(len(world & env))
         candidate_atom_counts.append(len(world & frequent))
 
-    consequences = sorted(a for a in registry.action_set if thread.time_mask(a))
-    pairs = sum(qualifying_times(thread, g).bit_count() for g in consequences)
+    counters = {
+        g: ConsequenceCounter(thread, g)
+        for g in sorted(a for a in registry.action_set if thread.time_mask(a))
+    }
+    pairs = sum(counter.qualifying.bit_count() for counter in counters.values())
 
     rules: list[tuple[AptRule, RuleStats]] = []
     explored = 0
-    for g in consequences:
+    for g, counter in counters.items():
         rho = prior(thread, g)
         for atoms, mask in candidate_preconditions(thread, g, params, frequent):
             explored += 1
-            counts = precondition_counts(thread, mask, g)
-            p = counts.p  # a number: each mask meets a qualifying t <= t_max - 1
-            if counts.support >= params.supp_lb and p > rho and p >= params.min_prob:
+            support = mask.bit_count()
+            # p is a number: each mask meets a qualifying t <= t_max - 1.
+            if support >= params.supp_lb and (p := counter.p(mask)) > rho and p >= params.min_prob:
                 rule = AptRule(Conjunction(atoms), g)
-                rules.append((rule, RuleStats(p, counts.p_star, rho, counts.support)))
+                rules.append((rule, RuleStats(p, counter.p_star(mask), rho, support)))
 
     return ExtractionReport(
         rules=tuple(rules),

@@ -14,15 +14,16 @@ Conventions, fixed here and mirrored by the brute-force oracle:
 * ``support`` counts over the full range 1..t_max.
 * A statistic whose conditioning event never occurs is None, never 0.0.
 
-``precondition_counts`` applies them to an occurrence bitmask; extraction
-and the scalar scoring path count through it too, and the batched scoring
-path builds its rows from ``fired_times`` and ``qualifying_times``.
+``ConsequenceCounter`` applies them to occurrence bitmasks: it is built
+once per consequence and is the only place that knows the horizon
+t <= t_max - 1 and the one-step shift from a consequence's times to the
+times that precede them.  The public statistics, extraction and both
+scoring paths all count through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .model import AtomId, Conjunction, Thread, low_time_mask
 
@@ -74,60 +75,51 @@ def prior(thread: Thread, atom_id: AtomId) -> float:
     return thread.time_mask(atom_id).bit_count() / thread.t_max
 
 
-def fired_times(thread: Thread, mask: int) -> int:
-    """The times of an occurrence bitmask that have a successor world, t <= t_max - 1."""
-    return mask & low_time_mask(thread.t_max - 1)
+class ConsequenceCounter:
+    """One consequence's successor-world counts, ready for any occurrence mask.
 
+    horizon     times t <= t_max - 1, the times with a successor world
+    qualifying  the horizon times whose successor world holds the consequence
+    goal        occurrences of the consequence
 
-def qualifying_times(thread: Thread, consequence: AtomId) -> int:
-    """Bitmask of the times t <= t_max - 1 whose successor world holds the consequence."""
-    return thread.time_mask(consequence) >> 1
+    A mask's support is mask.bit_count() and its hits are
+    (mask & qualifying).bit_count(), since qualifying lies inside horizon.
+    """
 
+    __slots__ = ("horizon", "qualifying", "goal")
 
-class PreconditionCounts(NamedTuple):
-    """The counts behind a rule's statistics, from precondition_counts."""
+    def __init__(self, thread: Thread, consequence: AtomId) -> None:
+        occurs = thread.time_mask(consequence)
+        self.horizon = low_time_mask(thread.t_max - 1)
+        self.qualifying = occurs >> 1
+        self.goal = occurs.bit_count()
 
-    support: int  # times in 1..t_max at which the precondition holds
-    fired: int  # of those, the times t <= t_max - 1, which have a successor
-    hits: int  # of those, the times whose successor world holds the consequence
-    goal: int  # occurrences of the consequence
-    unpreceded: int  # consequence occurrences not preceded by the precondition
+    def p(self, mask: int) -> float | None:
+        """P(consequence next | mask now), over the mask's times t <= t_max - 1."""
+        fired = (mask & self.horizon).bit_count()
+        return (mask & self.qualifying).bit_count() / fired if fired else None
 
-    @property
-    def p(self) -> float | None:
-        return self.hits / self.fired if self.fired else None
-
-    @property
-    def p_star(self) -> float | None:
-        return self.unpreceded / self.goal if self.goal else None
-
-
-def precondition_counts(thread: Thread, mask: int, consequence: AtomId) -> PreconditionCounts:
-    """Count a precondition, given as its occurrence bitmask, against a consequence."""
-    fired = fired_times(thread, mask)
-    hits = (fired & qualifying_times(thread, consequence)).bit_count()
-    goal = thread.time_mask(consequence).bit_count()
-    # An occurrence at t is preceded exactly when the precondition held at
-    # t - 1 <= t_max - 1, which is one hit; an occurrence at t = 1 never is.
-    return PreconditionCounts(mask.bit_count(), fired.bit_count(), hits, goal, goal - hits)
-
-
-def _counts(thread: Thread, precondition: Conjunction, consequence: AtomId) -> PreconditionCounts:
-    return precondition_counts(thread, thread.times_mask(precondition.atoms), consequence)
+    def p_star(self, mask: int) -> float | None:
+        """Fraction of the consequence's occurrences not preceded by a mask time."""
+        if not self.goal:
+            return None
+        # An occurrence at t is preceded exactly when the mask held at
+        # t - 1 <= t_max - 1, which is one hit; an occurrence at t = 1 never is.
+        return (self.goal - (mask & self.qualifying).bit_count()) / self.goal
 
 
 def rule_probability(
     thread: Thread, precondition: Conjunction, consequence: AtomId
 ) -> float | None:
     """P(consequence next | precondition now), over t in 1..t_max-1."""
-    return _counts(thread, precondition, consequence).p
+    return ConsequenceCounter(thread, consequence).p(thread.times_mask(precondition.atoms))
 
 
 def negative_probability(
     thread: Thread, precondition: Conjunction, consequence: AtomId
 ) -> float | None:
     """Fraction of the consequence's occurrences not preceded by the precondition."""
-    return _counts(thread, precondition, consequence).p_star
+    return ConsequenceCounter(thread, consequence).p_star(thread.times_mask(precondition.atoms))
 
 
 def support(thread: Thread, precondition: Conjunction) -> int:
@@ -137,10 +129,11 @@ def support(thread: Thread, precondition: Conjunction) -> int:
 
 def evaluate_rule(thread: Thread, rule: AptRule) -> RuleStats:
     """All four statistics in one bundle."""
-    counts = _counts(thread, rule.precondition, rule.consequence)
+    mask = thread.times_mask(rule.precondition.atoms)
+    counter = ConsequenceCounter(thread, rule.consequence)
     return RuleStats(
-        p=counts.p,
-        p_star=counts.p_star,
+        p=counter.p(mask),
+        p_star=counter.p_star(mask),
         rho=prior(thread, rule.consequence),
-        support=counts.support,
+        support=mask.bit_count(),
     )

@@ -286,7 +286,7 @@ def test_ingest_rejects_thresholds_that_share_a_sigma_label(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["events.csv", "locations.csv"]
 
 
-@pytest.mark.parametrize("series", ["", ","])
+@pytest.mark.parametrize("series", ["", ",", " , "])
 def test_ingest_spike_series_must_name_a_predicate(tmp_path, series):
     result = run(*weekly_bombings(tmp_path), "--out", tmp_path / "never.thread", "--spike-series", series)
     assert result.returncode == 1
@@ -295,15 +295,22 @@ def test_ingest_spike_series_must_name_a_predicate(tmp_path, series):
 
 
 def test_ingest_records_the_parsed_spike_series(tmp_path):
+    ingest = weekly_bombings(tmp_path)
+    out = tmp_path / "events.thread"
     texts = []
-    for series in ("bombing", "bombing,,bombing"):
-        out = tmp_path / "events.thread"
-        result = run(*weekly_bombings(tmp_path), "--out", out, "--spike-series", series)
+    for series in ("bombing", "bombing,,bombing", "bombing, bombing "):
+        result = run(*ingest, "--out", out, "--spike-series", series)
         assert result.returncode == 0, result.stderr
         texts.append(out.read_text())
-    assert texts[0] == texts[1]
+    assert len(set(texts)) == 1
     assert "\tspike_series=bombing\n" in texts[0]
     assert "bombingSpike\tIraq\t1sigma" in texts[0]
+
+    with (tmp_path / "events.csv").open("a") as events:
+        events.write("2014-06-08,recon,Mosul,,x\n")
+    result = run(*ingest, "--out", out, "--spike-series", "bombing, recon")
+    assert result.returncode == 0, result.stderr
+    assert "\tspike_series=bombing,recon\n" in out.read_text()
 
 
 def test_ingest_lists_build_rejects_by_line(tmp_path):

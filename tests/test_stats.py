@@ -25,7 +25,7 @@ from aptmine.oracle import (
     exact_support,
 )
 from aptmine.model import Atom
-from aptmine.stats import precondition_counts
+from aptmine.stats import ConsequenceCounter
 
 from conftest import corpora
 
@@ -101,14 +101,22 @@ def test_evaluate_rule_bundles_all_four(t1):
     assert stats == RuleStats(p=2 / 3, p_star=0.0, rho=1 / 3, support=3)
 
 
-def test_precondition_counts_on_worked_example(t1):
+def test_consequence_counter_on_worked_example(t1):
     thread, registry, a, b, g = t1
-    # (support, fired, hits, goal, unpreceded)
-    assert precondition_counts(thread, thread.times_mask([b]), g) == (3, 3, 2, 2, 0)
-    assert precondition_counts(thread, thread.times_mask([a, b]), g) == (1, 1, 1, 2, 1)
-    assert precondition_counts(thread, thread.times_mask([g]), a) == (2, 2, 0, 2, 2)
+    to_g = ConsequenceCounter(thread, g)
+    assert (to_g.horizon, to_g.goal) == (0b11111, 2)
+    assert to_g.qualifying == thread.time_mask(g) >> 1
+    # hits = (mask & qualifying).bit_count(); p = hits / fired, p* = (goal - hits) / goal
+    b_mask, ab_mask = thread.times_mask([b]), thread.times_mask([a, b])
+    assert (b_mask.bit_count(), to_g.p(b_mask), to_g.p_star(b_mask)) == (3, 2 / 3, 0.0)
+    assert (ab_mask.bit_count(), to_g.p(ab_mask), to_g.p_star(ab_mask)) == (1, 1.0, 1 / 2)
+    to_a = ConsequenceCounter(thread, a)
+    g_mask = thread.times_mask([g])
+    assert (g_mask.bit_count(), to_a.p(g_mask), to_a.p_star(g_mask)) == (2, 0.0, 1.0)
     # An occurrence at t_max counts for support but never fires.
-    assert precondition_counts(Thread([{1}, set(), {0}]), 0b100, 1) == (1, 0, 0, 1, 1)
+    last = ConsequenceCounter(Thread([{1}, set(), {0}]), 1)
+    only_last = 0b100
+    assert (only_last.bit_count(), last.p(only_last), last.p_star(only_last)) == (1, None, 1.0)
 
 
 def test_rule_rejects_consequence_in_precondition():
@@ -173,6 +181,29 @@ def test_statistics_match_the_fraction_oracle(case):
 
     assert prior(thread, g) == float(exact_prior(thread, Atom(g)))
     assert support(thread, c) == exact_support(thread, c.atoms)
+
+
+@given(corpora(), st.data())
+def test_consequence_counter_matches_a_scan_of_the_worlds(corpus, data):
+    """Any mask, not only a conjunction's: pair_probs counts second & ~first."""
+    thread, registry = corpus
+    t_max = thread.t_max
+    g = data.draw(st.integers(0, len(registry) - 1))
+    mask = data.draw(st.integers(0, 2**t_max - 1))
+    counter = ConsequenceCounter(thread, g)
+
+    times = {t for t in range(1, t_max + 1) if mask >> (t - 1) & 1}
+    fired = [t for t in times if t < t_max]
+    hits = sum(g in thread.world(t + 1) for t in fired)
+    goal = [t for t in range(1, t_max + 1) if g in thread.world(t)]
+    unpreceded = sum(t - 1 not in times for t in goal)
+    exact_p = Fraction(hits, len(fired)) if fired else None
+    exact_ps = Fraction(unpreceded, len(goal)) if goal else None
+
+    assert counter.p(mask) == (None if exact_p is None else float(exact_p))
+    assert counter.p_star(mask) == (None if exact_ps is None else float(exact_ps))
+    assert (mask & counter.qualifying).bit_count() == hits
+    assert counter.goal == len(goal)
 
 
 @given(corpus_and_rule())
