@@ -10,14 +10,20 @@ second precondition never occurs without the first, p_notfirst is taken as
 Both paths count through the group's stats.ConsequenceCounter.  Grouped
 scoring is vectorized: each precondition becomes one 0/1 row built from
 its mask cut to the counter's horizon (the times with a successor world),
-and every pairwise count is an integer-valued matrix product.  Co-fired
-counts use only the counter's qualifying columns (the times whose
-successor world holds the consequence).  Counts never exceed t_max,
-far below 2**53, so the float64 arithmetic is exact and the batched path
-is bit-identical to the scalar one (causal_scores), which remains the
-readable reference.  Each batched row is aggregated in numpy (eps_avg by
-math.fsum), while the scalar path keeps its own aggregator, _finish, so
-the two aggregations check each other.
+and a time->rules index lists, for each horizon time, the rows set at it.
+A rule's co-occurrence counts come from expanding each of its times into
+that time's list and counting the rows met; co-fired counts use a second
+index over the counter's qualifying columns (the times whose successor
+world holds the consequence).  With c_t rules at time t, a group costs
+sum_t c_t**2 index expansions plus n**2 count cells, counted _BLOCK_ROWS
+rows at a time, not the n**2 * T products of a dense matrix product.  The
+counts are exact int64 integers, at most t_max and so far below 2**53;
+numpy divides two of them as the same correctly rounded float64 division
+Python does for the scalar path (causal_scores), so the batched path is
+bit-identical to the scalar one, which remains the readable reference.
+Each batched row is aggregated in numpy (eps_avg by math.fsum), while the
+scalar path keeps its own aggregator, _finish, so the two aggregations
+check each other.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from .stats import AptRule, ConsequenceCounter, RuleStats, evaluate_rule, rule_s
 if TYPE_CHECKING:
     import numpy as np
 
-_BLOCK_ROWS = 512  # row-chunk size for the pairwise count products
+_BLOCK_ROWS = 64  # rules whose pairwise counts are held at once
 
 
 class UnrelatedRulesError(AptmineError):
@@ -146,6 +152,38 @@ def _bit_rows(masks: list[int], width: int) -> np.ndarray:
     return np.unpackbits(packed.reshape(-1, nbytes), axis=1, count=width, bitorder="little")
 
 
+def _time_index(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverted index of a 0/1 matrix: column t's set rows, ascending, are
+    ``rows[ptr[t]:ptr[t + 1]]``."""
+    import numpy as np
+
+    cols, rows = np.nonzero(bits.T)
+    ptr = np.zeros(bits.shape[1] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols, minlength=bits.shape[1]), out=ptr[1:])
+    return ptr, rows
+
+
+def _co_counts(
+    bits: np.ndarray, index: tuple[np.ndarray, np.ndarray], start: int, stop: int
+) -> np.ndarray:
+    """int64 ``bits[start:stop] @ bits.T``, counted from ``index = _time_index(bits)``.
+
+    Every (row, t) pair of the block expands into the rows listed at t, and
+    each expansion adds one to cell (row, that row).
+    """
+    import numpy as np
+
+    ptr, rows = index
+    n = bits.shape[0]
+    local, cols = np.nonzero(bits[start:stop])
+    first = ptr[cols]
+    lens = ptr[cols + 1] - first
+    # Expansion k of a pair whose expansions begin at s reads rows[first + k - s].
+    at = np.arange(lens.sum()) + np.repeat(first - (np.cumsum(lens) - lens), lens)
+    keys = np.repeat(local * n, lens) + rows[at]
+    return np.bincount(keys, minlength=(stop - start) * n).reshape(stop - start, n)
+
+
 def _score_group(
     thread: Thread, consequence: AtomId, members: list[tuple[AptRule, RuleStats]]
 ) -> list[ScoredRule]:
@@ -156,38 +194,35 @@ def _score_group(
     n = len(members)
     counter = ConsequenceCounter(thread, consequence)
     fired = [thread.times_mask(rule.precondition.atoms) & counter.horizon for rule, _ in members]
-    rows = _bit_rows(fired, thread.t_max).astype(np.float64)
+    bits = _bit_rows(fired, thread.t_max)
     goal_cols = np.flatnonzero(_bit_rows([counter.qualifying], thread.t_max)[0])
-    co_rows = rows[:, goal_cols]        # fired at t with the consequence at t+1
-    hits = co_rows.sum(axis=1)          # per-rule fired counts
-    occur = rows.sum(axis=1)            # per-rule restricted supports
+    co_bits = bits[:, goal_cols]        # fired at t with the consequence at t+1
+    hits = co_bits.sum(axis=1, dtype=np.int64)  # per-rule fired counts
+    occur = bits.sum(axis=1, dtype=np.int64)    # per-rule restricted supports
+    index, co_index = _time_index(bits), _time_index(co_bits)
 
-    block = min(_BLOCK_ROWS, n)
-    fired_buf = np.empty((block, n))
-    occur_buf = np.empty((block, n))
     out: list[ScoredRule] = []
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        # |{t: c_i, c_j at t, g at t+1}| and |{t: c_i, c_j at t}|; the next
-        # block overwrites both buffers, so no view of them may be kept.
-        co_fired = np.matmul(co_rows[start:stop], co_rows.T, out=fired_buf[: stop - start])
-        co_occur = np.matmul(rows[start:stop], rows.T, out=occur_buf[: stop - start])
+    for start in range(0, n, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n)
+        # |{t: c_i, c_j at t, g at t+1}| and |{t: c_i, c_j at t}|
+        co_fired = _co_counts(co_bits, co_index, start, stop)
+        co_occur = _co_counts(bits, index, start, stop)
         for i in range(start, stop):
             fire_row = co_fired[i - start]
             occ_row = co_occur[i - start]
-            mask = fire_row >= 0.5
+            mask = fire_row > 0
             mask[i] = False
             idx = np.flatnonzero(mask)
             rule, stats = members[i]
             if idx.size == 0:
                 out.append(ScoredRule(rule, stats, None, None, None, 0, 0))
                 continue
-            p_both = fire_row[idx] / occ_row[idx]
-            only_second = occur[idx] - occ_row[idx]
-            sep = only_second >= 0.5
-            numer = hits[idx] - fire_row[idx]
-            p_notfirst = np.where(sep, numer / np.where(sep, only_second, 1.0), 0.0)
-            deltas = p_both - p_notfirst
+            fire = fire_row[idx]
+            occ = occ_row[idx]
+            only_second = occur[idx] - occ
+            sep = only_second > 0
+            p_notfirst = np.where(sep, (hits[idx] - fire) / np.where(sep, only_second, 1), 0.0)
+            deltas = fire / occ - p_notfirst
             n_related = idx.size
             eps_avg = math.fsum(deltas.tolist()) / n_related
             eps_frac = np.count_nonzero(deltas >= 0.0) / n_related

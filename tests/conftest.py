@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from aptmine import AtomRegistry, ExtractParams, Predicate, Thread, t1_corpus
 
+pytest_plugins = ["pytester"]
+
 
 @pytest.fixture
 def t1():

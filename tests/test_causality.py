@@ -2,7 +2,10 @@
 
 from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from aptmine import (
     AptRule,
@@ -231,3 +234,42 @@ def test_scores_match_the_fraction_oracle(seed):
             assert abs(sr.eps_avg - float(want.eps_avg)) <= 1e-12
             assert abs(sr.eps_min - float(want.eps_min)) <= 1e-12
             assert abs(sr.eps_frac - float(want.eps_frac)) <= 1e-12
+
+
+def _bits(rows):
+    return np.array(rows, dtype=np.uint8).reshape(len(rows), -1)
+
+
+@given(arrays(np.uint8, array_shapes(min_dims=2, max_dims=2, max_side=9), elements=st.integers(0, 1)))
+@example(_bits([[0, 0, 0], [0, 0, 0]]))             # no keys in any block
+@example(_bits([[1, 0, 1], [0, 0, 0], [0, 0, 0], [1, 1, 0]]))  # an all-empty middle block
+@example(_bits([[1, 0, 0], [1, 0, 1]]))             # an all-zero column
+@example(_bits([[1, 1]]))                           # n = 1
+@example(_bits([[0]]))                              # n = 1, width 1, empty
+@example(_bits([[1], [0], [1]]))                    # width 1
+def test_co_counts_equal_the_matrix_product(bits):
+    index = causality._time_index(bits)
+    want = bits.astype(np.int64) @ bits.T.astype(np.int64)
+    n = bits.shape[0]
+    for start in range(n):
+        for stop in range(start + 1, n + 1):
+            got = causality._co_counts(bits, index, start, stop)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want[start:stop])
+
+
+@pytest.mark.parametrize("block_rows", [1, 2])
+def test_a_block_of_rules_firing_only_at_t_max_scores_like_the_scalar_path(
+    monkeypatch, block_rows
+):
+    # g = 2.  Atoms 3 and 4 occur only at t_max = 5, so the horizon rows of
+    # (3,), (3, 4) and (4,) are empty: with two rows per block, the whole
+    # second block and the partial last one have nothing to expand.
+    thread = Thread([{0, 1}, {2}, {1}, {2}, {0, 1, 3, 4}])
+    rules = [AptRule(Conjunction(atoms), 2) for atoms in [(0,), (1,), (3,), (3, 4), (4,)]]
+    monkeypatch.setattr(causality, "_BLOCK_ROWS", block_rows)
+    ranked = pf_rule_compare(thread, [(r, evaluate_rule(thread, r)) for r in rules])
+    assert {sr.rule for sr in ranked[2]} == set(rules)
+    for sr in ranked[2]:
+        assert sr == causal_scores(thread, sr.rule, rules)
+    assert [sr.is_unscored for sr in ranked[2]] == [False, False, True, True, True]
