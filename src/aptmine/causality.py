@@ -8,15 +8,16 @@ second precondition never occurs without the first, p_notfirst is taken as
 0 and the pair is flagged NeverSeparated rather than dropped.
 
 Both paths count through the group's stats.ConsequenceCounter.  Grouped
-scoring is vectorized: each precondition becomes one 0/1 row built from
-its mask cut to the counter's horizon (the times with a successor world),
-and a time->rules index lists, for each horizon time, the rows set at it.
-A rule's co-occurrence counts come from expanding each of its times into
-that time's list and counting the rows met; co-fired counts use a second
-index over the counter's qualifying columns (the times whose successor
-world holds the consequence).  With c_t rules at time t, a group costs
-sum_t c_t**2 index expansions plus n**2 count cells, counted _BLOCK_ROWS
-rows at a time, not the n**2 * T products of a dense matrix product.  The
+scoring is vectorized over one time->rules index per group: each member's
+mask, cut to the counter's horizon (the times with a successor world),
+becomes its set bits, row by row, and the same bits sorted by time list,
+for each horizon time, the rows set at it.  A rule's co-occurrence counts
+come from expanding each of its set bits into that time's list and
+counting the rows met; its co-fired counts are the expansions at the
+counter's qualifying times (whose successor world holds the consequence).
+With c_t rules at time t, a group costs sum_t c_t**2 expansions plus n**2
+count cells, counted _BLOCK_ROWS rows at a time, and it holds the set bits
+plus one block of counts: no n x T matrix and no n**2 * T products.  The
 counts are exact int64 integers, at most t_max and so far below 2**53;
 numpy divides two of them as the same correctly rounded float64 division
 Python does for the scalar path (causal_scores), so the batched path is
@@ -30,9 +31,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .model import AptmineError, AtomId, Thread
+from .model import AptmineError, AtomId, Thread, iter_mask_times
 from .stats import AptRule, ConsequenceCounter, RuleStats, evaluate_rule, rule_sort_key
 
 if TYPE_CHECKING:
@@ -143,45 +145,46 @@ def _rank_key(sr: ScoredRule):
     return (0, -sr.eps_avg, -sr.stats.p, -sr.stats.support, sr.rule.precondition.atoms)
 
 
-def _bit_rows(masks: list[int], width: int) -> np.ndarray:
-    """0/1 uint8 matrix: row k, column t - 1 holds bit t - 1 of masks[k]."""
-    import numpy as np
+def _time_index(masks: list[int], goal: int) -> tuple[np.ndarray, ...]:
+    """The masks' set bits, row by row, and the time->rules index over them.
 
-    nbytes = (width + 7) // 8
-    packed = np.frombuffer(b"".join(m.to_bytes(nbytes, "little") for m in masks), dtype=np.uint8)
-    return np.unpackbits(packed.reshape(-1, nbytes), axis=1, count=width, bitorder="little")
-
-
-def _time_index(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverted index of a 0/1 matrix: column t's set rows, ascending, are
-    ``rows[ptr[t]:ptr[t + 1]]``."""
-    import numpy as np
-
-    cols, rows = np.nonzero(bits.T)
-    ptr = np.zeros(bits.shape[1] + 1, dtype=np.int64)
-    np.cumsum(np.bincount(cols, minlength=bits.shape[1]), out=ptr[1:])
-    return ptr, rows
-
-
-def _co_counts(
-    bits: np.ndarray, index: tuple[np.ndarray, np.ndarray], start: int, stop: int
-) -> np.ndarray:
-    """int64 ``bits[start:stop] @ bits.T``, counted from ``index = _time_index(bits)``.
-
-    Every (row, t) pair of the block expands into the rows listed at t, and
-    each expansion adds one to cell (row, that row).
+    Row k's set times, ascending, are ``times[ptr[k]:ptr[k + 1]]``; ``rows``
+    holds each one's row and ``at_goal`` whether goal has that time.  The
+    rows set at time t, ascending, are ``by_time[upto[t - 1]:upto[t]]``.
     """
     import numpy as np
 
-    ptr, rows = index
-    n = bits.shape[0]
-    local, cols = np.nonzero(bits[start:stop])
-    first = ptr[cols]
-    lens = ptr[cols + 1] - first
-    # Expansion k of a pair whose expansions begin at s reads rows[first + k - s].
-    at = np.arange(lens.sum()) + np.repeat(first - (np.cumsum(lens) - lens), lens)
-    keys = np.repeat(local * n, lens) + rows[at]
-    return np.bincount(keys, minlength=(stop - start) * n).reshape(stop - start, n)
+    ptr = np.cumsum([0, *map(int.bit_count, masks)], dtype=np.int64)
+    rows = np.repeat(np.arange(len(masks), dtype=np.int64), np.diff(ptr))
+    times = np.fromiter(chain.from_iterable(map(iter_mask_times, masks)), np.int64, ptr[-1])
+    at_goal = np.isin(times, np.fromiter(iter_mask_times(goal), np.int64))
+    by_time = rows[np.argsort(times, kind="stable")]
+    upto = np.cumsum(np.bincount(times))  # upto[t]: set bits at times <= t
+    return ptr, rows, times, at_goal, upto, by_time
+
+
+def _co_counts(index: tuple[np.ndarray, ...], start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """int64 co-occur and co-fired counts of rows start..stop-1 against every row.
+
+    With ``index = _time_index(masks, goal)`` and ``bits`` the masks' 0/1
+    matrix, they are ``bits[start:stop] @ bits.T`` and the same product
+    over goal's times only.  Every set bit of the block expands once into
+    the rows listed at its time, adding one to cell (its row, that row).
+    """
+    import numpy as np
+
+    ptr, rows, times, at_goal, upto, by_time = index
+    n = ptr.size - 1
+    block = slice(ptr[start], ptr[stop])
+    first = upto[times[block] - 1]
+    lens = upto[times[block]] - first
+    # Expansion k of a bit whose expansions begin at s reads by_time[first + k - s].
+    keys = by_time[np.arange(lens.sum()) + np.repeat(first - (np.cumsum(lens) - lens), lens)]
+    keys += np.repeat((rows[block] - start) * n, lens)
+    size = (stop - start) * n
+    co_occur = np.bincount(keys, minlength=size).reshape(stop - start, n)
+    co_fired = np.bincount(keys[np.repeat(at_goal[block], lens)], minlength=size)
+    return co_occur, co_fired.reshape(stop - start, n)
 
 
 def _score_group(
@@ -194,19 +197,15 @@ def _score_group(
     n = len(members)
     counter = ConsequenceCounter(thread, consequence)
     fired = [thread.times_mask(rule.precondition.atoms) & counter.horizon for rule, _ in members]
-    bits = _bit_rows(fired, thread.t_max)
-    goal_cols = np.flatnonzero(_bit_rows([counter.qualifying], thread.t_max)[0])
-    co_bits = bits[:, goal_cols]        # fired at t with the consequence at t+1
-    hits = co_bits.sum(axis=1, dtype=np.int64)  # per-rule fired counts
-    occur = bits.sum(axis=1, dtype=np.int64)    # per-rule restricted supports
-    index, co_index = _time_index(bits), _time_index(co_bits)
+    ptr, rows, _, at_goal, _, _ = index = _time_index(fired, counter.qualifying)
+    hits = np.bincount(rows[at_goal], minlength=n)  # per-rule fired counts
+    occur = np.diff(ptr)                            # per-rule restricted supports
 
     out: list[ScoredRule] = []
     for start in range(0, n, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n)
-        # |{t: c_i, c_j at t, g at t+1}| and |{t: c_i, c_j at t}|
-        co_fired = _co_counts(co_bits, co_index, start, stop)
-        co_occur = _co_counts(bits, index, start, stop)
+        # |{t: c_i, c_j at t}| and |{t: c_i, c_j at t, g at t+1}|
+        co_occur, co_fired = _co_counts(index, start, stop)
         for i in range(start, stop):
             fire_row = co_fired[i - start]
             occ_row = co_occur[i - start]

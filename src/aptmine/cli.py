@@ -18,7 +18,6 @@ from . import __version__
 from .causality import pf_rule_compare
 from .extraction import ExtractParams, pf_rule_extract
 from .formats import (
-    decode_utf8,
     load_rules,
     load_scored,
     load_thread,
@@ -145,16 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_csv(path: Path, parse):
-    """Run a CSV parser over a file; bad UTF-8 raises a FormatError naming path:line."""
-    with open(path, "rb") as fh:
-        try:
-            return parse(fh)
-        except UnicodeDecodeError:
-            decode_utf8(path, path.read_bytes())  # raises, naming the first bad line
-            raise
-
-
 def _check_outputs(inputs: dict[str, Path], outputs: dict[str, Path | None]) -> None:
     """Refuse an output that resolves to one of the inputs or to another output.
 
@@ -176,7 +165,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         {"events": args.events, "--location-map": args.location_map},
         {"--out": args.out, "--rejects": rejects_path, "--emit-counts": args.emit_counts},
     )
-    location_map = _read_csv(args.location_map, load_location_map)
+    with open(args.location_map, "rb") as fh:
+        location_map = load_location_map(fh)
     spike_series = None
     if args.spike_series is not None:
         # Stripped like the CSV cells they must match; empty parts are dropped.
@@ -189,7 +179,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         spike_config=SpikeConfig(window=args.window, thresholds=args.thresholds),
         spike_series=spike_series,
     )
-    events, parse_rejects = _read_csv(args.events, parse_events)
+    with open(args.events, "rb") as fh:
+        events, parse_rejects = parse_events(fh)
     corpus, build_rejects = build_corpus(events, config)
 
     params = {

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .model import AtomId, AtomRegistry, Conjunction, Predicate, Thread
+from .model import ArityError, AtomId, AtomRegistry, Conjunction, Predicate, Thread
 from .stats import AptRule, RuleStats
 from .causality import ScoredRule
-from .ingestion import FormatError, Reject
+from .ingestion import FormatError, Reject, decode_utf8
 
 THREAD_MAGIC = "aptmine-thread v1"
 RULES_MAGIC = "aptmine-rules v1"
@@ -70,15 +70,6 @@ def write_atomic(path: str | Path, text: str) -> None:
 def _params_line(params: Mapping[str, str]) -> str:
     parts = [f"{key}={value}" for key, value in params.items()]
     return "\t".join(["params", *parts])
-
-
-def decode_utf8(path: str | Path, data: bytes) -> str:
-    """The file's bytes as text; bad UTF-8 raises a FormatError naming path:line."""
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
-        raise FormatError(f"{path}:{lineno}: not valid UTF-8 ({exc.reason})")
 
 
 def _read_lines(path: str | Path, magic: str) -> tuple[list[str], dict[str, str]]:
@@ -163,7 +154,7 @@ def load_thread(path: str | Path) -> tuple[Thread, AtomRegistry, dict[str, str]]
             raise FormatError(f"{path}:{lineno}: atom flag must be 0 or 1, got {flag!r}")
         try:
             atom_id = registry.intern(Predicate(name, len(args)), args)
-        except ValueError as exc:
+        except (ValueError, ArityError) as exc:
             raise FormatError(f"{path}:{lineno}: {exc}")
         if str(atom_id) != declared:
             raise FormatError(

@@ -3,9 +3,9 @@ spike detection, and thread/registry construction.
 
 Parsing and building never drop a row silently: anything unusable lands in
 a reject report with the CSV line its row starts on and a reason.  Only a
-malformed header is a hard failure.  Built corpora are independent of the
-input row order: each distinct atom is interned once, by (first period,
-predicate, args), so equal event multisets yield bit-identical threads.
+bad header, CSV syntax or UTF-8 is a hard failure.  Corpora are independent
+of the input row order: each distinct atom is interned once, by (first
+period, predicate, args), so equal event multisets yield bit-identical threads.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import io
 import re
 from collections import defaultdict
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Mapping
 
 from .model import RESERVED, AptmineError, AtomRegistry, Predicate, Thread
@@ -117,12 +118,23 @@ def parse_date(text: str) -> dt.date:
     return dt.date.fromisoformat(text)
 
 
+def decode_utf8(path: str | Path, data: bytes) -> str:
+    """The file's bytes as text; bad UTF-8 raises a FormatError naming path:line."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise FormatError(f"{path}:{lineno}: not valid UTF-8 ({exc.reason})")
+
+
 def _csv_rows(source: BinaryIO | io.TextIOBase, where: str) -> Iterator[tuple[int, list[str]]]:
     """The stream's CSV rows, each with the line it starts on.
 
-    A csv.Error becomes a FormatError naming where:line.
+    A csv.Error becomes a FormatError naming where:line, and so does bad
+    UTF-8 in a seekable binary stream; elsewhere it names only where.
     """
-    reader = csv.reader(_text_stream(source))
+    text = _text_stream(source)
+    reader = csv.reader(text)
     line = 1
     try:
         for row in reader:
@@ -130,13 +142,19 @@ def _csv_rows(source: BinaryIO | io.TextIOBase, where: str) -> Iterator[tuple[in
             line = reader.line_num + 1
     except csv.Error as exc:
         raise FormatError(f"{where}:{reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        # Read while text is alive: dropping the wrapper closes the stream.
+        if text is not source and source.seekable():
+            source.seek(0)
+            decode_utf8(where, source.read())  # raises, naming the first bad line
+        raise FormatError(f"{where}: not valid UTF-8 ({exc.reason})") from None
 
 
 def parse_events(source: BinaryIO | io.TextIOBase) -> tuple[list[EventRecord], list[Reject]]:
     """Read the event CSV: header ``date,predicate,arg1,arg2,actor``.
 
     Returns the parsed records and the rejects.  Raises FormatError only
-    for a missing or malformed header or a row the csv module cannot read,
+    for a missing or malformed header, an unreadable row or bad UTF-8,
     naming the stream's file and line; every other bad row becomes a reject.
     """
     where = _source_name(source, "event file")

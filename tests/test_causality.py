@@ -13,13 +13,16 @@ from aptmine import (
     Conjunction,
     ExtractParams,
     PairProbs,
+    PlantedRule,
     Predicate,
     RuleStats,
+    SynthSpec,
     Thread,
     UnrelatedRulesError,
     brute_force_scores,
     causal_scores,
     evaluate_rule,
+    generate_synthetic,
     pair_probs,
     pf_rule_compare,
     pf_rule_extract,
@@ -240,22 +243,36 @@ def _bits(rows):
     return np.array(rows, dtype=np.uint8).reshape(len(rows), -1)
 
 
-@given(arrays(np.uint8, array_shapes(min_dims=2, max_dims=2, max_side=9), elements=st.integers(0, 1)))
-@example(_bits([[0, 0, 0], [0, 0, 0]]))             # no keys in any block
-@example(_bits([[1, 0, 1], [0, 0, 0], [0, 0, 0], [1, 1, 0]]))  # an all-empty middle block
-@example(_bits([[1, 0, 0], [1, 0, 1]]))             # an all-zero column
-@example(_bits([[1, 1]]))                           # n = 1
-@example(_bits([[0]]))                              # n = 1, width 1, empty
-@example(_bits([[1], [0], [1]]))                    # width 1
-def test_co_counts_equal_the_matrix_product(bits):
-    index = causality._time_index(bits)
-    want = bits.astype(np.int64) @ bits.T.astype(np.int64)
-    n = bits.shape[0]
+def _row(width, *times):
+    return [int(c + 1 in times) for c in range(width)]
+
+
+@given(
+    arrays(np.uint8, array_shapes(min_dims=2, max_dims=2, max_side=9), elements=st.integers(0, 1)),
+    st.integers(min_value=0),
+)
+@example(_bits([[0, 0, 0], [0, 0, 0]]), 0b111)             # no keys in any block
+@example(_bits([[1, 0, 1], [0, 0, 0], [0, 0, 0], [1, 1, 0]]), 0b100)  # an all-empty middle block
+@example(_bits([[1, 0, 0], [1, 0, 1]]), 0b110)             # an all-zero column
+@example(_bits([[1, 1]]), 0b10)                            # n = 1
+@example(_bits([[0]]), 0b1)                                # n = 1, width 1, empty
+@example(_bits([[1], [0], [1]]), 0b1)                      # width 1
+@example(_bits([_row(130, 1, 65, 130), _row(130, 65, 130), _row(130, 1)]), 1 << 64 | 1 << 129)  # past 64 bits
+def test_co_counts_equal_the_matrix_product(bits, goal):
+    n, width = bits.shape
+    goal &= (1 << width) - 1
+    masks = [sum(int(bit) << c for c, bit in enumerate(row)) for row in bits]
+    index = causality._time_index(masks, goal)
+    wide = bits.astype(np.int64)
+    goal_cols = np.array([goal >> c & 1 for c in range(width)], dtype=np.int64)
+    want_occur = wide @ wide.T
+    want_fired = (wide * goal_cols) @ wide.T
     for start in range(n):
         for stop in range(start + 1, n + 1):
-            got = causality._co_counts(bits, index, start, stop)
-            assert got.dtype == np.int64
-            assert np.array_equal(got, want[start:stop])
+            co_occur, co_fired = causality._co_counts(index, start, stop)
+            assert co_occur.dtype == co_fired.dtype == np.int64
+            assert np.array_equal(co_occur, want_occur[start:stop])
+            assert np.array_equal(co_fired, want_fired[start:stop])
 
 
 @pytest.mark.parametrize("block_rows", [1, 2])
@@ -273,3 +290,24 @@ def test_a_block_of_rules_firing_only_at_t_max_scores_like_the_scalar_path(
     for sr in ranked[2]:
         assert sr == causal_scores(thread, sr.rule, rules)
     assert [sr.is_unscored for sr in ranked[2]] == [False, False, True, True, True]
+
+
+@pytest.mark.parametrize("block_rows", [causality._BLOCK_ROWS, 3])
+def test_long_threads_score_like_the_scalar_path(monkeypatch, block_rows):
+    # t_max = 150: most set bits lie past the first 64-bit word of a mask.
+    monkeypatch.setattr(causality, "_BLOCK_ROWS", block_rows)
+    params = ExtractParams(max_dim=3, supp_lb=3, min_prob=0.3)
+    plant = PlantedRule((0, 1), "g0", 0.9, 20)
+    for seed in range(3):
+        spec = SynthSpec(n_env=12, t_max=150, planted=(plant,), density=0.25, seed=seed)
+        corpus = generate_synthetic(spec)
+        report = pf_rule_extract(corpus.thread, corpus.registry, params)
+        by_group = {}
+        for rule, _ in report.rules:
+            by_group.setdefault(rule.consequence, []).append(rule)
+        assert max(map(len, by_group.values())) > block_rows
+        ranked = pf_rule_compare(corpus.thread, report.rules)
+        scored = [sr for group in ranked.values() for sr in group]
+        assert any(not sr.is_unscored for sr in scored)
+        for sr in scored:
+            assert sr == causal_scores(corpus.thread, sr.rule, by_group[sr.rule.consequence])

@@ -120,6 +120,7 @@ def tampered(tmp_path, t1, mutate):
         (lambda lines: lines.__setitem__(3, "0\ta\t7"), "flag must be 0 or 1"),
         (lambda lines: lines.__setitem__(3, "5\ta\t0"), "dense and ascending"),
         (lambda lines: lines.__setitem__(3, "0\ta(\t0"), r"bad\.thread:4: .*reserved character"),
+        (lambda lines: lines.__setitem__(4, "1\ta\tx\ty\t0"), r"bad\.thread:5: .*arity 0, got arity 2"),
         (lambda lines: lines.__setitem__(7, "0 99"), "unknown atom id"),
         (lambda lines: lines.__setitem__(7, "0 x"), r"bad\.thread:8: .*must be integers"),
         (lambda lines: lines.__setitem__(7, "0 \u0661"), r"bad\.thread:8: .*'\u0661'"),

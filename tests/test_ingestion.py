@@ -350,6 +350,35 @@ def test_load_location_map():
         load_location_map(io.StringIO("Mosul,Iraq\nMosul,Syria\n"))
 
 
+class _Unseekable(io.BytesIO):
+    def seekable(self):
+        return False
+
+
+_HEADER = b"date,predicate,arg1,arg2,actor\n"
+_EVENT = b"2014-06-08,bomb,Mosul,,x\n"
+_PADDING = _EVENT * 400  # 10 KB, so the bad byte lies past the first 8 KiB read
+
+
+@pytest.mark.parametrize(
+    "parse, data, where",
+    [
+        (parse_events, _HEADER + _EVENT + b"2014-06-09,bo\xffmb,Mosul,,x\n", "event file:3"),
+        (parse_events, _HEADER + _PADDING + b"2014-06-09,bo\xffmb,Mosul,,x\n", "event file:402"),
+        (load_location_map, b"Mosul,Iraq\nRa\xffqqa,Syria\n", "location map:2"),
+        (load_location_map, b"Mosul,Iraq\n" * 1000 + b"Ra\xffqqa,Syria\n", "location map:1001"),
+    ],
+    ids=["events", "events-past-8k", "map", "map-past-8k"],
+)
+def test_bad_utf8_is_a_format_error_naming_the_line(parse, data, where):
+    with pytest.raises(FormatError, match=rf"^{where}: not valid UTF-8 \(invalid start byte\)$"):
+        parse(io.BytesIO(data))
+    # A stream that cannot seek back cannot be re-read for the line.
+    unnamed = where.partition(":")[0]
+    with pytest.raises(FormatError, match=rf"^{unnamed}: not valid UTF-8 \(invalid start byte\)$"):
+        parse(_Unseekable(data))
+
+
 def test_location_map_errors_name_the_line_their_row_starts_on():
     # The quoted city spans lines 1-2, so the bad theater is on line 3.
     with pytest.raises(FormatError, match="map:3: theater"):
