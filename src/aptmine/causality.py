@@ -8,23 +8,35 @@ second precondition never occurs without the first, p_notfirst is taken as
 0 and the pair is flagged NeverSeparated rather than dropped.
 
 Both paths count through the group's stats.ConsequenceCounter.  Grouped
-scoring is vectorized over one time->rules index per group: each member's
-mask, cut to the counter's horizon (the times with a successor world),
-becomes its set bits, row by row, and the same bits sorted by time list,
-for each horizon time, the rows set at it.  A rule's co-occurrence counts
-come from expanding each of its set bits into that time's list and
-counting the rows met; its co-fired counts are the expansions at the
-counter's qualifying times (whose successor world holds the consequence).
-With c_t rules at time t, a group costs sum_t c_t**2 expansions plus n**2
-count cells, counted _BLOCK_ROWS rows at a time, and it holds the set bits
-plus one block of counts: no n x T matrix and no n**2 * T products.  The
-counts are exact int64 integers, at most t_max and so far below 2**53;
+scoring first splits a group into mask classes: members whose masks, cut
+to the counter's horizon (the times with a successor world), are equal.
+Such members meet every other member alike, so a class is scored once and
+each member takes its eps tuple with its own rule and stats.  A class is
+counted against every class, and the cell of class j carries the weight
+|j|, less one for the row's own class: a member meets each of its own
+siblings, when related, with the never-separated delta p_both - 0.  The
+counts come from one time->rules index per group over the class masks:
+each class's set bits, row by row, and the same bits sorted by time list,
+for each horizon time, the classes set at it.  A class's
+co-occurrence counts come from expanding each of its set bits into that
+time's list and counting the classes met; its co-fired counts are the
+expansions at the counter's qualifying times (whose successor world holds
+the consequence).  With c distinct masks, c_t of them set at time t, a
+group costs sum_t c_t**2 expansions plus c**2 count cells, counted
+_BLOCK_ROWS classes at a time, and it holds the set bits plus one block of
+counts: no n x T matrix and no n**2 * T products.
+
+The counts are exact int64 integers, at most t_max and so far below 2**53;
 numpy divides two of them as the same correctly rounded float64 division
-Python does for the scalar path (causal_scores), so the batched path is
-bit-identical to the scalar one, which remains the readable reference.
-Each batched row is aggregated in numpy (eps_avg by math.fsum), while the
-scalar path keeps its own aggregator, _finish, so the two aggregations
-check each other.
+Python does for the scalar path (causal_scores).  Each block gathers its
+related cells, divides and takes the deltas at once; per class row only
+eps_avg is summed, by math.fsum over the deltas each repeated by its
+weight.  fsum rounds the exact sum once, whatever the order, so it equals
+the scalar path's fsum over the rule's deltas one pair at a time; eps_min
+and the eps_frac and never-separated counts do not depend on order either.
+So the batched path is bit-identical to the scalar one, which remains the
+readable reference and keeps its own aggregator, _finish, so the two
+aggregations check each other.
 """
 
 from __future__ import annotations
@@ -40,7 +52,7 @@ from .stats import AptRule, ConsequenceCounter, RuleStats, evaluate_rule, rule_s
 if TYPE_CHECKING:
     import numpy as np
 
-_BLOCK_ROWS = 64  # rules whose pairwise counts are held at once
+_BLOCK_ROWS = 32  # mask classes whose pairwise counts are held at once
 
 
 class UnrelatedRulesError(AptmineError):
@@ -194,42 +206,45 @@ def _score_group(
     # that never score (ingest, mine, report) do not pay for loading it.
     import numpy as np
 
-    n = len(members)
     counter = ConsequenceCounter(thread, consequence)
-    fired = [thread.times_mask(rule.precondition.atoms) & counter.horizon for rule, _ in members]
-    ptr, rows, _, at_goal, _, _ = index = _time_index(fired, counter.qualifying)
-    hits = np.bincount(rows[at_goal], minlength=n)  # per-rule fired counts
-    occur = np.diff(ptr)                            # per-rule restricted supports
+    classes: dict[int, int] = {}  # horizon-cut fired mask -> its class row
+    cls = [
+        classes.setdefault(thread.times_mask(rule.precondition.atoms) & counter.horizon, len(classes))
+        for rule, _ in members
+    ]
+    c = len(classes)
+    size = np.bincount(cls, minlength=c)  # members per class
+    ptr, rows, _, at_goal, _, _ = index = _time_index(list(classes), counter.qualifying)
+    hits = np.bincount(rows[at_goal], minlength=c)  # per-class fired counts
+    occur = np.diff(ptr)                            # per-class restricted supports
 
-    out: list[ScoredRule] = []
-    for start in range(0, n, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, n)
+    scores = [(None, None, None, 0, 0)] * c  # a class related to nothing is unscored
+    for start in range(0, c, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, c)
         # |{t: c_i, c_j at t}| and |{t: c_i, c_j at t, g at t+1}|
         co_occur, co_fired = _co_counts(index, start, stop)
-        for i in range(start, stop):
-            fire_row = co_fired[i - start]
-            occ_row = co_occur[i - start]
-            mask = fire_row > 0
-            mask[i] = False
-            idx = np.flatnonzero(mask)
-            rule, stats = members[i]
-            if idx.size == 0:
-                out.append(ScoredRule(rule, stats, None, None, None, 0, 0))
-                continue
-            fire = fire_row[idx]
-            occ = occ_row[idx]
-            only_second = occur[idx] - occ
-            sep = only_second > 0
-            p_notfirst = np.where(sep, (hits[idx] - fire) / np.where(sep, only_second, 1), 0.0)
-            deltas = fire / occ - p_notfirst
-            n_related = idx.size
-            eps_avg = math.fsum(deltas.tolist()) / n_related
-            eps_frac = np.count_nonzero(deltas >= 0.0) / n_related
-            never_sep = int(np.count_nonzero(~sep))
-            out.append(
-                ScoredRule(rule, stats, eps_avg, float(deltas.min()), eps_frac, n_related, never_sep)
-            )
-    return out
+        cells = np.flatnonzero(co_fired > 0)
+        r, j = np.divmod(cells, c)
+        # A member meets each member of class j once, itself excepted.
+        weight = size[j] - (j == r + start)
+        keep = weight > 0
+        cells, r, j, weight = cells[keep], r[keep], j[keep], weight[keep]
+        fire = co_fired.take(cells)
+        occ = co_occur.take(cells)
+        only_second = occur[j] - occ
+        sep = only_second > 0
+        p_notfirst = np.where(sep, (hits[j] - fire) / np.where(sep, only_second, 1), 0.0)
+        deltas = fire / occ - p_notfirst
+        # A related row's cells are one run of r; sum and min over each run.
+        firsts = np.flatnonzero(np.diff(r, prepend=-1))
+        sums = np.add.reduceat([weight, weight * (deltas >= 0.0), weight * ~sep], firsts, axis=1)
+        lows = np.minimum.reduceat(deltas, firsts).tolist()
+        bounds = [*firsts.tolist(), r.size]
+        runs = zip(r.take(firsts).tolist(), bounds, bounds[1:], lows, *sums.tolist())
+        for row, a, b, low, n_related, n_nonneg, never_sep in runs:
+            eps_avg = math.fsum(np.repeat(deltas[a:b], weight[a:b]).tolist()) / n_related
+            scores[start + row] = (eps_avg, low, n_nonneg / n_related, n_related, never_sep)
+    return [ScoredRule(rule, stats, *scores[k]) for (rule, stats), k in zip(members, cls)]
 
 
 def pf_rule_compare(

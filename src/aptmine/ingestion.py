@@ -131,7 +131,8 @@ def _csv_rows(source: BinaryIO | io.TextIOBase, where: str) -> Iterator[tuple[in
     """The stream's CSV rows, each with the line it starts on.
 
     A csv.Error becomes a FormatError naming where:line, and so does bad
-    UTF-8 in a seekable binary stream; elsewhere it names only where.
+    UTF-8 in a seekable binary stream; elsewhere it names only where.  A
+    binary stream is left open for the caller, however the rows end.
     """
     text = _text_stream(source)
     reader = csv.reader(text)
@@ -143,11 +144,13 @@ def _csv_rows(source: BinaryIO | io.TextIOBase, where: str) -> Iterator[tuple[in
     except csv.Error as exc:
         raise FormatError(f"{where}:{reader.line_num}: {exc}") from None
     except UnicodeDecodeError as exc:
-        # Read while text is alive: dropping the wrapper closes the stream.
         if text is not source and source.seekable():
             source.seek(0)
             decode_utf8(where, source.read())  # raises, naming the first bad line
         raise FormatError(f"{where}: not valid UTF-8 ({exc.reason})") from None
+    finally:
+        if text is not source:
+            text.detach()  # a dropped wrapper would close the caller's stream
 
 
 def parse_events(source: BinaryIO | io.TextIOBase) -> tuple[list[EventRecord], list[Reject]]:

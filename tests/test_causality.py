@@ -29,8 +29,9 @@ from aptmine import (
     related,
 )
 import aptmine.causality as causality
+from aptmine.stats import ConsequenceCounter
 
-from conftest import random_corpus, random_params
+from conftest import corpora, random_corpus, random_params
 
 
 def rules_of(t1, *preconditions):
@@ -212,7 +213,12 @@ def test_batched_path_is_bit_identical_to_scalar(seed):
 def test_row_chunking_does_not_change_results(monkeypatch, block_rows):
     thread, registry = random_corpus(5)
     report = pf_rule_extract(thread, registry, ExtractParams(max_dim=2, supp_lb=1, min_prob=0.25))
-    largest = max(Counter(rule.consequence for rule, _ in report.rules).values())
+    # Blocks are over a group's distinct horizon-cut fired masks, not its rules.
+    masks = {}
+    for rule, _ in report.rules:
+        horizon = ConsequenceCounter(thread, rule.consequence).horizon
+        masks.setdefault(rule.consequence, set()).add(thread.times_mask(rule.precondition.atoms) & horizon)
+    largest = max(map(len, masks.values()))
     assert largest > block_rows and (block_rows == 1 or largest % block_rows)  # a partial last block
     whole = pf_rule_compare(thread, report.rules)
     monkeypatch.setattr(causality, "_BLOCK_ROWS", block_rows)
@@ -311,3 +317,65 @@ def test_long_threads_score_like_the_scalar_path(monkeypatch, block_rows):
         assert any(not sr.is_unscored for sr in scored)
         for sr in scored:
             assert sr == causal_scores(corpus.thread, sr.rule, by_group[sr.rule.consequence])
+
+
+@st.composite
+def shared_mask_groups(draw):
+    """A corpus thread with one atom copied, and one consequence group on it.
+
+    The copy holds exactly when atom a does, so the rules {a}, {copy} and
+    {a, copy} always share a fired mask, and so does a drawn {a, b} when b
+    holds wherever a does.
+    """
+    thread, registry = draw(corpora())
+    n = len(registry)
+    a = draw(st.integers(0, n - 1))
+    g = draw(st.sampled_from([x for x in range(n) if x != a]))
+    worlds = [thread.world(t) for t in range(1, thread.t_max + 1)]
+    worlds = [world | {n} if a in world else world for world in worlds]
+    atoms = st.sampled_from([x for x in range(n + 1) if x != g])
+    drawn = draw(st.lists(st.sets(atoms, min_size=1, max_size=2)))
+    preconditions = {frozenset(atoms) for atoms in [{a}, {n}, {a, n}, *drawn]}
+    return Thread(worlds), [AptRule(Conjunction(atoms), g) for atoms in preconditions]
+
+
+# g = 3 below.  The horizon is t <= t_max - 1 and a hit is a time whose
+# successor world holds g.
+@given(shared_mask_groups())
+@example((  # class {0}, {1}, {0, 1} fires at 1 and 3 with no hit: unrelated to itself
+    Thread([{0, 1}, {2}, {0, 1, 4}, {2, 4}, {3}]),
+    [AptRule(Conjunction(atoms), 3) for atoms in [(0,), (1,), (0, 1), (2,), (4,)]],
+))
+@example((  # the singleton class {2} is related to both members of {0}, {1}
+    Thread([{0, 1, 2}, {3}, {0, 1}, {3}, {2}, {3}]),
+    [AptRule(Conjunction(atoms), 3) for atoms in [(0,), (1,), (2,)]],
+))
+@example((  # one class: atom 1 differs from atom 0 only at t_max, past the horizon
+    Thread([{0, 1}, {3}, {0, 1}, {1, 3}]),
+    [AptRule(Conjunction(atoms), 3) for atoms in [(0,), (1,), (0, 1)]],
+))
+def test_mask_classes_score_like_the_scalar_path(case):
+    thread, rules = case
+    (g,) = {rule.consequence for rule in rules}
+    horizon = ConsequenceCounter(thread, g).horizon
+    sizes = Counter(thread.times_mask(rule.precondition.atoms) & horizon for rule in rules)
+    assert max(sizes.values()) > 1  # some members share a mask class
+    pairs = [(rule, evaluate_rule(thread, rule)) for rule in rules]
+    for block_rows in (causality._BLOCK_ROWS, 1, 2):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(causality, "_BLOCK_ROWS", block_rows)
+            ranked = pf_rule_compare(thread, pairs)
+        assert len(ranked[g]) == len(rules)
+        for sr in ranked[g]:
+            assert sr == causal_scores(thread, sr.rule, rules)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_scores_are_plain_python_numbers(seed):
+    # Equality with the scalar path cannot see np.float64 against float.
+    thread, registry = random_corpus(seed)
+    report = pf_rule_extract(thread, registry, random_params(seed))
+    for group in pf_rule_compare(thread, report.rules).values():
+        for sr in group:
+            assert {type(sr.eps_avg), type(sr.eps_min), type(sr.eps_frac)} <= {float, type(None)}
+            assert type(sr.related_count) is int and type(sr.never_separated_count) is int

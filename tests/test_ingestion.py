@@ -1,6 +1,7 @@
 """CSV parsing, period bucketing, spike-atom construction, rejects."""
 
 import datetime as dt
+import gc
 import io
 import random
 
@@ -383,3 +384,30 @@ def test_location_map_errors_name_the_line_their_row_starts_on():
     # The quoted city spans lines 1-2, so the bad theater is on line 3.
     with pytest.raises(FormatError, match="map:3: theater"):
         load_location_map(io.StringIO('"Mos\nul",Iraq\nRaqqa,Atlantis\n'))
+
+
+@pytest.mark.parametrize(
+    "parse, data, fails",
+    [
+        (parse_events, _HEADER + _EVENT, False),
+        (parse_events, b"when,what,a,b,who\n" + _EVENT, True),               # bad header
+        (parse_events, _HEADER + b"2014-06-09,bo\xffmb,Mosul,,x\n", True),   # bad UTF-8
+        (parse_events, _HEADER + b"2014-06-09,r," + b"x" * 140_000 + b",,\n", True),  # csv.Error
+        (load_location_map, b"Mosul,Iraq\n", False),
+        (load_location_map, b"Mosul,Iraq\nRaqqa,Atlantis\n", True),           # bad row
+        (load_location_map, b"Ra\xffqqa,Syria\n", True),                      # bad UTF-8
+    ],
+    ids=["events", "events-header", "events-utf8", "events-csv", "map", "map-row", "map-utf8"],
+)
+def test_parsers_leave_a_binary_stream_open(parse, data, fails):
+    stream = io.BytesIO(data)
+    try:
+        parse(stream)
+    except FormatError:
+        assert fails
+    else:
+        assert not fails
+    gc.collect()  # whatever the parse left behind is finalized by now
+    assert not stream.closed
+    stream.seek(0)
+    assert stream.read() == data
