@@ -156,6 +156,8 @@ def load_thread(path: str | Path) -> tuple[Thread, AtomRegistry, dict[str, str]]
             atom_id = registry.intern(Predicate(name, len(args)), args)
         except (ValueError, ArityError) as exc:
             raise FormatError(f"{path}:{lineno}: {exc}")
+        if atom_id != lineno - 4:  # interning found the atom already held
+            raise FormatError(f"{path}:{lineno}: repeats the atom on line {atom_id + 4}")
         if str(atom_id) != declared:
             raise FormatError(
                 f"{path}:{lineno}: atom ids must be dense and ascending, got {declared!r}"

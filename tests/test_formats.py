@@ -138,6 +138,18 @@ def test_damaged_thread_files_raise(tmp_path, t1, mutate, message):
         load_thread(path)
 
 
+def test_repeated_atom_line_raises_naming_both_lines(tmp_path):
+    # Interning the second "0 a" line returns id 0 again, which its declared
+    # id matches; the header still says 3 atoms, so the period line's atom 2
+    # would name an atom the registry never received.
+    path = tmp_path / "repeat.thread"
+    path.write_text(
+        f"{THREAD_MAGIC}\nparams\natoms\t3\n0\ta\t0\n0\ta\t0\n1\tnan2\tg\t1\nperiods\t1\n0 2\n"
+    )
+    with pytest.raises(FormatError, match=r"^.*repeat\.thread:5: repeats the atom on line 4$"):
+        load_thread(path)
+
+
 def test_rules_round_trip_exactly(tmp_path):
     thread, registry = random_corpus(9)
     report = pf_rule_extract(thread, registry, random_params(9))
