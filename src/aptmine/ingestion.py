@@ -267,11 +267,9 @@ def build_corpus(
         periods, lines = groups[event.predicate, event.args]
         periods.append(days // config.period_days + 1)
         lines.append(event.line)
-    t_max = max((max(periods) for periods, _ in groups.values()), default=0)
 
     registry = AtomRegistry()
-    worlds: list[set[int]] = [set() for _ in range(t_max)]
-    raw_counts: dict[tuple[str, str], list[int]] = {}
+    interned = []
     # Canonical order: atom ids follow (first period, predicate, args), not row order.
     atoms = sorted(groups.items(), key=lambda group: (min(group[1][0]), group[0]))
     for (predicate, args), (periods, lines) in atoms:
@@ -283,6 +281,12 @@ def build_corpus(
             rejects.extend(Reject(line, "uninternable atom", str(exc)) for line in lines)
             continue
         registry.mark_env(atom)
+        interned.append((atom, predicate, args, periods))
+    # Only interned atoms stretch the thread: a rejected row leaves no trace.
+    t_max = max((max(periods) for *_, periods in interned), default=0)
+    worlds: list[set[int]] = [set() for _ in range(t_max)]
+    raw_counts: dict[tuple[str, str], list[int]] = {}
+    for atom, predicate, args, periods in interned:
         for period in periods:
             worlds[period - 1].add(atom)
         if predicate in series_predicates:  # accepted, so its location is mapped

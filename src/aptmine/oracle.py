@@ -19,7 +19,7 @@ from itertools import combinations
 from typing import Iterable, Mapping
 
 from .extraction import ExtractParams, subset_count
-from .ingestion import BuiltCorpus
+from .ingestion import BuiltCorpus, CorpusConfig, EmptyCorpusError, FormatError, Reject
 from .model import (
     AptmineError,
     Atom,
@@ -27,6 +27,7 @@ from .model import (
     AtomRegistry,
     Conjunction,
     Predicate,
+    RESERVED,
     Thread,
 )
 from .stats import AptRule, rule_sort_key
@@ -223,6 +224,186 @@ def brute_force_scores(
             never_separated,
         )
     return out
+
+
+# ------------------------------------------------------ reference ingest
+
+
+def _reference_rows(text: str) -> list[tuple[int, list[str]]]:
+    """Each CSV row of the text, BOM dropped, with the physical line it starts on."""
+    import csv
+    import io
+
+    consumed = 0
+
+    def lines():
+        nonlocal consumed
+        for line in io.StringIO(text.removeprefix("\ufeff"), newline=""):
+            consumed += 1
+            yield line
+
+    reader = csv.reader(lines())
+    out = []
+    while True:
+        start = consumed + 1
+        try:
+            out.append((start, next(reader)))
+        except StopIteration:
+            return out
+
+
+def _reference_day(text: str):
+    """The date spelled YYYY-MM-DD in ASCII digits, else None."""
+    import datetime as dt
+
+    digits = text[:4] + text[5:7] + text[8:]
+    if len(text) != 10 or text[4] + text[7] != "--" or not all("0" <= c <= "9" for c in digits):
+        return None
+    try:
+        return dt.date(int(text[:4]), int(text[5:7]), int(text[8:]))
+    except ValueError:
+        return None
+
+
+def _reference_parse_reject(cells: list[str]) -> tuple[str, str] | None:
+    """Why a non-blank event row is unusable on its own, as (reason, detail), else None."""
+    if len(cells) != 5:
+        return "wrong field count", ",".join(cells)
+    date, predicate, arg1, arg2, _ = (cell.strip() for cell in cells)
+    if _reference_day(date) is None:
+        return "unparseable date", date
+    if not predicate:
+        return "missing predicate", ",".join(cells)
+    if predicate.endswith("Spike"):
+        return "reserved predicate", predicate
+    if arg2 and not arg1:
+        return "gap in arguments", ",".join(cells)
+    for value in (predicate, arg1, arg2):
+        if set(value) & set(RESERVED):
+            return "reserved character", value
+    return None
+
+
+def reference_ingest(
+    csv_text: str, map_text: str, config: CorpusConfig
+) -> tuple[BuiltCorpus, list[Reject]]:
+    """Ingest an event CSV by the README's rules, one row and one period at a time.
+
+    The city map comes from ``map_text`` (``config.location_map`` is not
+    read); every other setting comes from ``config``.  Returns the corpus
+    and the rejects: those a row earns on its own (field count, date,
+    predicate, argument gap, reserved character) in line order, then those
+    that need the config or the other rows (date before the epoch,
+    unmapped location, arity conflict) in line order.  Periods count days
+    from the epoch by ``date.toordinal()``.  Event atoms are numbered by
+    sorting the kept events by (period, predicate, args); the first atom of
+    a predicate in that order fixes its arity.  Spike atoms follow, by
+    predicate, theater (Iraq, Syria, Total) and threshold; their periods
+    come from ``spikes.spike_atoms`` on this function's own count series.
+    Raises FormatError for a bad header or map row, EmptyCorpusError when
+    no event is left, and ValueError for a spike series no event has.
+    """
+    import csv
+    import io
+
+    from .spikes import spike_atoms
+
+    theaters = ("Iraq", "Syria")
+    places: dict[str, str] = {}
+    for cells in csv.reader(io.StringIO(map_text.removeprefix("\ufeff"), newline="")):
+        if not cells:
+            continue
+        if len(cells) != 2 or cells[1].strip() not in theaters:
+            raise FormatError(f"bad location map row {cells!r}")
+        places[cells[0].strip()] = cells[1].strip()
+
+    rows = _reference_rows(csv_text)
+    header = ("date", "predicate", "arg1", "arg2", "actor")
+    if not rows or tuple(cell.strip() for cell in rows[0][1]) != header:
+        raise FormatError("bad or missing header")
+    parse_rejects: list[Reject] = []
+    events = []  # (line, date, predicate, args)
+    for line, cells in rows[1:]:
+        if not cells:
+            continue
+        why = _reference_parse_reject(cells)
+        if why is not None:
+            parse_rejects.append(Reject(line, *why))
+            continue
+        date, predicate, arg1, arg2, _ = (cell.strip() for cell in cells)
+        events.append((line, _reference_day(date), predicate, tuple(a for a in (arg1, arg2) if a)))
+    if not events:
+        raise EmptyCorpusError("no events")
+
+    observed = {predicate for _, _, predicate, _ in events}
+    series = set(config.spike_series) if config.spike_series is not None else observed
+    if not series <= observed:
+        raise ValueError(f"unknown spike series {sorted(series - observed)}")
+    build_rejects: list[Reject] = []
+    placed = []  # (period, predicate, args, line, theater)
+    for line, date, predicate, args in events:
+        days = date.toordinal() - config.epoch.toordinal()
+        theater = places.get(args[-1]) if args else None
+        if days < 0:
+            build_rejects.append(Reject(line, "date before epoch", date.isoformat()))
+        elif predicate in series and theater is None:
+            location = args[-1] if args else "<no location>"
+            build_rejects.append(Reject(line, "unmapped location", location))
+        else:
+            placed.append((days // config.period_days + 1, predicate, args, line, theater))
+
+    ids: dict[tuple[str, tuple[str, ...]], int] = {}
+    arities: dict[str, int] = {}
+    kept = []
+    for period, predicate, args, line, theater in sorted(placed):
+        arity = arities.setdefault(predicate, len(args))
+        if arity != len(args):
+            detail = (
+                f"predicate {predicate!r} already registered with arity {arity}, "
+                f"got arity {len(args)}"
+            )
+            build_rejects.append(Reject(line, "uninternable atom", detail))
+            continue
+        ids.setdefault((predicate, args), len(ids))
+        kept.append((period, predicate, args, theater))
+    if not kept:
+        raise EmptyCorpusError("every event was rejected")
+
+    t_max = max(period for period, *_ in kept)
+    registry = AtomRegistry()
+    worlds: list[set[int]] = [set() for _ in range(t_max)]
+    for predicate, args in ids:  # in id order
+        registry.mark_env(registry.intern(Predicate(predicate, len(args)), args))
+    for period, predicate, args, _ in kept:
+        worlds[period - 1].add(ids[predicate, args])
+
+    counted = series if config.spike_series is not None else {p for _, p, _, _ in kept}
+    count_series: dict[tuple[str, str], tuple[int, ...]] = {}
+    for predicate in sorted(counted):
+        for theater in (*theaters, "Total"):
+            counts = tuple(
+                sum(
+                    1
+                    for period, p, _, place in kept
+                    if p == predicate and period == t and theater in (place, "Total")
+                )
+                for t in range(1, t_max + 1)
+            )
+            count_series[predicate, theater] = counts
+            spikes = spike_atoms(counts, config.spike_config)
+            for k in config.spike_config.thresholds:
+                periods = [t for t, threshold in spikes if threshold == k]
+                if not periods:
+                    continue
+                atom = registry.intern(Predicate(predicate + "Spike", 2), (theater, f"{k:g}sigma"))
+                registry.mark_env(atom)
+                registry.mark_action(atom)
+                for t in periods:
+                    worlds[t - 1].add(atom)
+
+    registry.freeze()
+    corpus = BuiltCorpus(Thread(worlds), registry, count_series)
+    return corpus, parse_rejects + sorted(build_rejects, key=lambda r: r.line)
 
 
 # ------------------------------------------------------ synthetic corpora

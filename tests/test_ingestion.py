@@ -221,6 +221,15 @@ def test_arity_conflicts_become_rejects():
     assert [(r.line, r.reason) for r in rejects] == [(2, "uninternable atom"), (4, "uninternable atom")]
 
 
+def test_arity_rejects_do_not_stretch_the_thread():
+    # The rejected recon(ISIS,Mosul) row is the only one dated in period 4.
+    records, _ = parse_events(events_csv("2014-06-08,recon,Mosul,,a", "2014-06-30,recon,ISIS,Mosul,a"))
+    corpus, rejects = build_corpus(records, config())
+    assert [(r.line, r.reason) for r in rejects] == [(3, "uninternable atom")]
+    assert corpus.thread.t_max == 1
+    assert corpus.count_series["recon", "Total"] == (1,)
+
+
 def test_atom_ids_follow_first_period_then_predicate_and_args():
     records, _ = parse_events(events_csv(
         "2014-06-29,recon,Mosul,,x",            # period 4

@@ -1,31 +1,43 @@
 """The brute-force oracle and the synthetic corpus generators."""
 
+import csv
+import datetime as dt
+import io
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aptmine import (
     AptRule,
     AtomRegistry,
     Conjunction,
+    CorpusConfig,
+    EmptyCorpusError,
     ExtractParams,
     OracleGuardError,
     PlantedRule,
     Predicate,
+    SpikeConfig,
     SynthSpec,
     Thread,
     brute_force_extract,
     brute_force_scores,
+    build_corpus,
     generate_synthetic,
+    load_location_map,
+    parse_events,
     sparse_benchmark_corpus,
     t1_corpus,
 )
+from aptmine.formats import format_thread
 from aptmine.oracle import (
     OracleRuleStats,
     exact_negative_probability,
     exact_prior,
     exact_rule_probability,
     exact_support,
+    reference_ingest,
 )
 from aptmine.model import Atom
 
@@ -187,3 +199,84 @@ def test_sparse_benchmark_corpus_shape():
 
     again, _ = sparse_benchmark_corpus()
     assert again == thread
+
+
+# ------------------------------------------------------- reference ingest
+
+EPOCH = dt.date(2014, 6, 8)
+MAP_TEXT = "Mosul,Iraq\nRaqqa,Syria\n\n Falluja , Iraq\n"
+EVENT_ROWS = st.tuples(
+    st.integers(min_value=-3, max_value=60).map(lambda d: (EPOCH + dt.timedelta(days=d)).isoformat()),
+    st.sampled_from(["bomb", "recon", "kidnap"]),
+    st.sampled_from([("Mosul", ""), ("ISIS", "Mosul"), ("Raqqa", ""), ("ISIS", "Raqqa"),
+                     ("Falluja", ""), ("Atlantis", ""), ("ISIS", "Atlantis"), ("", ""),
+                     ("", "Mosul")]),
+    st.sampled_from(["", "ISIS", "multi\nline", 'say "hi"']),
+).map(lambda row: [row[0], row[1], *row[2], row[3]])
+TEXTS = st.sampled_from([
+    "", "bomb", "Mosul", " Mosul ", "Atlantis", "armedSpike", "re(con", "two\nlines", "a,b", "t\tab",
+    "2014-06-09", " 2014-06-10 ", "2014-06-11\n", "2014-13-01", "2014-02-30", "0000-01-01",
+    "20140608", "2014-6-8", "２０１４-06-08",
+])
+ROWS = st.integers(min_value=0, max_value=9).flatmap(
+    lambda kind: EVENT_ROWS if kind < 6  # mostly usable; some unmapped, arity conflicts, gaps
+    else st.lists(TEXTS, min_size=5, max_size=5) if kind < 8  # damage anywhere
+    else st.lists(TEXTS, min_size=1, max_size=6).filter(lambda cells: len(cells) != 5)
+    if kind < 9
+    else st.just([])  # a blank line
+)
+
+
+@st.composite
+def event_csvs(draw):
+    """A UTF-8 event CSV whose rows repeat, as (text, bytes the engine reads)."""
+    rows = draw(st.lists(ROWS, min_size=1, max_size=25))
+    for i in draw(st.lists(st.integers(min_value=0, max_value=len(rows) - 1), max_size=10)):
+        rows.insert(draw(st.integers(min_value=0, max_value=len(rows))), rows[i])
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator=draw(st.sampled_from(["\n", "\r\n"])))
+    writer.writerow(["date", "predicate", "arg1", "arg2", "actor"])
+    writer.writerows(rows)
+    text = ("\ufeff" if draw(st.booleans()) else "") + out.getvalue()
+    return text, text.encode("utf-8")
+
+
+def outcome(ingest):
+    """(thread text, count series, rejects) of an ingest, or the type of its error."""
+    try:
+        corpus, rejects = ingest()
+    except (EmptyCorpusError, ValueError) as exc:
+        return type(exc)
+    text = format_thread(corpus.thread, corpus.registry, {})
+    return text, dict(corpus.count_series), rejects
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    source=event_csvs(),
+    period_days=st.integers(min_value=1, max_value=10),
+    window=st.integers(min_value=1, max_value=4),
+    thresholds=st.sampled_from([(1.0, 2.0), (0.5,), (0.1, 1.5)]),
+    spike_series=st.one_of(
+        st.none(),
+        st.sets(st.sampled_from(["bomb", "recon", "kidnap", "nosuch"]), min_size=1).map(
+            lambda names: tuple(sorted(names))
+        ),
+    ),
+)
+def test_engine_ingest_matches_the_reference(source, period_days, window, thresholds, spike_series):
+    text, data = source
+    config = CorpusConfig(
+        epoch=EPOCH,
+        location_map=load_location_map(io.StringIO(MAP_TEXT)),
+        period_days=period_days,
+        spike_config=SpikeConfig(window=window, thresholds=thresholds),
+        spike_series=spike_series,
+    )
+
+    def engine():
+        records, parse_rejects = parse_events(io.BytesIO(data))
+        corpus, build_rejects = build_corpus(records, config)
+        return corpus, [*parse_rejects, *build_rejects]
+
+    assert outcome(engine) == outcome(lambda: reference_ingest(text, MAP_TEXT, config))
