@@ -14,7 +14,6 @@ import csv
 import datetime as dt
 import io
 import re
-from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Mapping
@@ -27,6 +26,7 @@ THEATERS = ("Iraq", "Syria")
 TOTAL_THEATER = "Total"
 SPIKE_SUFFIX = "Spike"  # spike atoms are <predicate>Spike(theater, <k>sigma)
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+_RESERVED_CHAR = re.compile(f"[{re.escape(RESERVED)}]")
 
 
 class FormatError(AptmineError):
@@ -153,12 +153,31 @@ def _csv_rows(source: BinaryIO | io.TextIOBase, where: str) -> Iterator[tuple[in
             text.detach()  # a dropped wrapper would close the caller's stream
 
 
+def _name_reject(row: list[str], predicate: str, arg1: str, arg2: str) -> tuple[str, str] | None:
+    """Why a row's stripped predicate and arguments name no atom, as (reason, detail), else None."""
+    if not predicate:
+        return "missing predicate", ",".join(row)
+    if predicate.endswith(SPIKE_SUFFIX):
+        return "reserved predicate", predicate
+    if arg2 and not arg1:
+        return "gap in arguments", ",".join(row)
+    bad = next((v for v in (predicate, arg1, arg2) if _RESERVED_CHAR.search(v)), None)
+    if bad is not None:
+        return "reserved character", bad
+    return None
+
+
 def parse_events(source: BinaryIO | io.TextIOBase) -> tuple[list[EventRecord], list[Reject]]:
     """Read the event CSV: header ``date,predicate,arg1,arg2,actor``.
 
     Returns the parsed records and the rejects.  Raises FormatError only
     for a missing or malformed header, an unreadable row or bad UTF-8,
     naming the stream's file and line; every other bad row becomes a reject.
+    A date text or a (predicate, arguments) triple is checked the first time
+    it is seen, so records share their ``date``, ``predicate`` and ``args``
+    objects with every other record that spells them the same way.  A text
+    that fails is never remembered: each row that repeats it is rejected
+    with its own line and detail.
     """
     where = _source_name(source, "event file")
     reader = _csv_rows(source, where)
@@ -172,35 +191,32 @@ def parse_events(source: BinaryIO | io.TextIOBase) -> tuple[list[EventRecord], l
 
     records: list[EventRecord] = []
     rejects: list[Reject] = []
+    dates: dict[str, dt.date] = {}
+    names: dict[tuple[str, str, str], tuple[str, tuple[str, ...]]] = {}  # -> (predicate, args)
     for line, row in reader:
         if not row:
             continue
         if len(row) != len(EXPECTED_HEADER):
             rejects.append(Reject(line, "wrong field count", ",".join(row)))
             continue
-        raw_date, raw_pred, raw_a1, raw_a2, _ = (cell.strip() for cell in row)
-        try:
-            date = parse_date(raw_date)
-        except ValueError:
-            rejects.append(Reject(line, "unparseable date", raw_date))
-            continue
-        if not raw_pred:
-            rejects.append(Reject(line, "missing predicate", ",".join(row)))
-            continue
-        if raw_pred.endswith(SPIKE_SUFFIX):
-            rejects.append(Reject(line, "reserved predicate", raw_pred))
-            continue
-        if not raw_a1 and raw_a2:
-            rejects.append(Reject(line, "gap in arguments", ",".join(row)))
-            continue
-        args = tuple(a for a in (raw_a1, raw_a2) if a)
-        bad = next(
-            (v for v in (raw_pred, *args) if any(ch in RESERVED for ch in v)), None
-        )
-        if bad is not None:
-            rejects.append(Reject(line, "reserved character", bad))
-            continue
-        records.append(EventRecord(date, raw_pred, args, line))
+        raw_date = row[0].strip()
+        date = dates.get(raw_date)
+        if date is None:
+            try:
+                date = dates[raw_date] = parse_date(raw_date)
+            except ValueError:
+                rejects.append(Reject(line, "unparseable date", raw_date))
+                continue
+        key = (row[1].strip(), row[2].strip(), row[3].strip())
+        name = names.get(key)
+        if name is None:
+            why = _name_reject(row, *key)
+            if why is not None:
+                rejects.append(Reject(line, *why))
+                continue
+            predicate, arg1, arg2 = key
+            name = names[key] = (predicate, tuple(a for a in (arg1, arg2) if a))
+        records.append(EventRecord(date, name[0], name[1], line))
     return records, rejects
 
 
@@ -236,8 +252,9 @@ def build_corpus(
     """Bucket events into periods, detect spikes, build thread and registry.
 
     Period index is floor((date - epoch) / period_days) + 1; events dated
-    before the epoch are rejected.  Worlds are sets, so repeated identical
-    events only influence the count series.  Spike atoms (named
+    before the epoch are rejected.  Each distinct date is bucketed, and each
+    distinct (predicate, args) located, once.  Worlds are sets, so repeated
+    identical events only influence the count series.  Spike atoms (named
     ``<predicate>Spike(theater, <k>sigma)``) form the action set and are
     also environmental.  Rejects come back in CSV line order.
     """
@@ -252,49 +269,64 @@ def build_corpus(
         raise ValueError(f"spike_series names predicates that no event has: {', '.join(unknown)}")
 
     rejects: list[Reject] = []
-    groups = defaultdict(lambda: ([], []))  # (predicate, args) -> (periods, CSV lines)
+    periods_of: dict[dt.date, int] = {}  # date -> its period, 0 before the epoch
+    groups: dict[tuple[str, tuple[str, ...]], list[int]] = {}  # -> the period of each row
     for event in events:
-        days = (event.date - config.epoch).days
-        if days < 0:
+        period = periods_of.get(event.date)
+        if period is None:
+            days = (event.date - config.epoch).days
+            period = periods_of[event.date] = days // config.period_days + 1 if days >= 0 else 0
+        if not period:
             rejects.append(Reject(event.line, "date before epoch", event.date.isoformat()))
             continue
-        # Convention: the last argument names the location.
-        location = event.args[-1] if event.args else None
-        theater = config.location_map.get(location) if location else None
-        if event.predicate in series_predicates and theater is None:
-            rejects.append(Reject(event.line, "unmapped location", location or "<no location>"))
-            continue
-        periods, lines = groups[event.predicate, event.args]
-        periods.append(days // config.period_days + 1)
-        lines.append(event.line)
+        group = groups.get((event.predicate, event.args))
+        if group is None:  # a new atom, or one whose location is unmapped
+            # Convention: the last argument names the location.
+            location = event.args[-1] if event.args else None
+            theater = config.location_map.get(location) if location else None
+            if event.predicate in series_predicates and theater is None:
+                rejects.append(Reject(event.line, "unmapped location", location or "<no location>"))
+                continue
+            group = groups[event.predicate, event.args] = []
+        group.append(period)
 
     registry = AtomRegistry()
     interned = []
+    failed: dict[tuple[str, tuple[str, ...]], str] = {}
     # Canonical order: atom ids follow (first period, predicate, args), not row order.
-    atoms = sorted(groups.items(), key=lambda group: (min(group[1][0]), group[0]))
-    for (predicate, args), (periods, lines) in atoms:
+    atoms = sorted(groups.items(), key=lambda group: (min(group[1]), group[0]))
+    for (predicate, args), periods in atoms:
         try:
             atom = registry.intern(Predicate(predicate, len(args)), args)
         except (AptmineError, ValueError) as exc:
             # Arity conflicts and reserved characters both land here; rows
             # that came through parse_events can only hit the arity case.
-            rejects.extend(Reject(line, "uninternable atom", str(exc)) for line in lines)
+            failed[predicate, args] = str(exc)
             continue
         registry.mark_env(atom)
         interned.append((atom, predicate, args, periods))
+    if failed:  # every row of such an atom that got this far
+        rejects.extend(
+            Reject(event.line, "uninternable atom", failed[event.predicate, event.args])
+            for event in events
+            if (event.predicate, event.args) in failed and periods_of[event.date]
+        )
+    if not interned:
+        raise EmptyCorpusError("every event was rejected")
+
     # Only interned atoms stretch the thread: a rejected row leaves no trace.
-    t_max = max((max(periods) for *_, periods in interned), default=0)
-    worlds: list[set[int]] = [set() for _ in range(t_max)]
+    t_max = max(max(periods) for *_, periods in interned)
+    # Lists, not sets: each atom enters each of its periods once.
+    worlds: list[list[int]] = [[] for _ in range(t_max)]
     raw_counts: dict[tuple[str, str], list[int]] = {}
     for atom, predicate, args, periods in interned:
-        for period in periods:
-            worlds[period - 1].add(atom)
+        for period in set(periods):
+            worlds[period - 1].append(atom)
         if predicate in series_predicates:  # accepted, so its location is mapped
             counts = raw_counts.setdefault((predicate, config.location_map[args[-1]]), [0] * t_max)
             for period in periods:
                 counts[period - 1] += 1
-    if len(registry) == 0:
-        raise EmptyCorpusError("every event was rejected")
+    del groups, atoms, interned  # the per-row periods, freed before the thread is built
 
     count_series: dict[tuple[str, str], tuple[int, ...]] = {}
     zeros = [0] * t_max
@@ -314,7 +346,10 @@ def build_corpus(
                 )
                 registry.mark_action(atom)
                 registry.mark_env(atom)
-                worlds[period - 1].add(atom)
+                worlds[period - 1].append(atom)
 
     registry.freeze()
-    return BuiltCorpus(Thread(worlds), registry, count_series), sorted(rejects)
+    # A set sized in one step gives a frozenset half the table of one grown
+    # member by member, and Thread keeps a frozenset as it is.
+    thread = Thread(frozenset(set(world)) for world in worlds)
+    return BuiltCorpus(thread, registry, count_series), sorted(rejects)

@@ -13,6 +13,7 @@ from aptmine import (
     EventRecord,
     FormatError,
     Predicate,
+    Reject,
     SpikeConfig,
     build_corpus,
     load_location_map,
@@ -140,6 +141,50 @@ def test_parse_reserved_char_inside_quoted_cell():
     records, rejects = parse_events(events_csv('2014-06-08,"armed,Atk",Mosul,,'))
     assert records == []
     assert rejects[0].reason == "reserved character"
+
+
+def test_a_repeated_bad_date_rejects_every_row_that_has_it():
+    records, rejects = parse_events(events_csv(
+        "2014-02-30,recon,Mosul,,x", "2014-06-08,recon,Mosul,,x", "2014-02-30,recon,Mosul,,y"
+    ))
+    assert len(records) == 1
+    assert rejects == [Reject(2, "unparseable date", "2014-02-30"),
+                       Reject(4, "unparseable date", "2014-02-30")]
+
+
+def test_a_repeated_bad_name_rejects_every_row_with_its_own_detail():
+    records, rejects = parse_events(events_csv(
+        "2014-06-08,recon,Mo(sul,,x", "2014-06-09,recon,Mo(sul,,y",
+        "2014-06-08,,Mosul,,x", "2014-06-09,,Mosul,,y",
+    ))
+    assert records == []
+    assert rejects == [
+        Reject(2, "reserved character", "Mo(sul"),
+        Reject(3, "reserved character", "Mo(sul"),
+        Reject(4, "missing predicate", "2014-06-08,,Mosul,,x"),
+        Reject(5, "missing predicate", "2014-06-09,,Mosul,,y"),
+    ]
+
+
+def test_records_share_their_date_predicate_and_args():
+    records, _ = parse_events(events_csv(
+        "2014-06-08,armedAtk,ISIS,Mosul,a", " 2014-06-08 ,armedAtk , ISIS,Mosul,b",
+        "2014-06-09,armedAtk,ISIS,Mosul,c",
+    ))
+    first, again, later = records
+    assert again.date is first.date and again.predicate is first.predicate
+    assert again.args is first.args
+    assert later.args is first.args and later.date == dt.date(2014, 6, 9)
+
+
+def test_arity_rejects_skip_rows_already_rejected_before_the_epoch():
+    records, _ = parse_events(events_csv(
+        "2014-06-08,recon,Mosul,,a", "2014-06-01,recon,ISIS,Mosul,a", "2014-06-16,recon,ISIS,Mosul,a"
+    ))
+    _, rejects = build_corpus(records, config())
+    assert [(r.line, r.reason) for r in rejects] == [
+        (3, "date before epoch"), (4, "uninternable atom")
+    ]
 
 
 # --------------------------------------------------------------- building
