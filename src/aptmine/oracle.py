@@ -3,9 +3,10 @@
 Everything here favours directness over speed.  Statistics are recomputed
 by scanning world frozensets and counting; probabilities are exact
 ``Fraction``s; the extraction and comparison references enumerate without
-any of the engine's pruning or vectorization.  Tests pit the engine
-against these on small instances, so the two code paths must share
-nothing but the data types and the counting conventions.
+any of the engine's pruning or vectorization; the ingest reference decides
+each CSV row on its own and counts each period by scanning every event.
+Tests pit the engine against these on small instances, so the two code
+paths must share nothing but the data types and the counting conventions.
 
 A statistic whose conditioning event never occurs is None, as in the engine.
 """
