@@ -28,7 +28,14 @@ from .formats import (
     save_thread,
     write_atomic,
 )
-from .ingestion import CorpusConfig, build_corpus, load_location_map, parse_date, parse_events
+from .ingestion import (
+    CorpusConfig,
+    EmptyCorpusError,
+    build_corpus,
+    load_location_map,
+    parse_date,
+    parse_events,
+)
 from .model import AptmineError
 from .oracle import PlantedRule, SynthSpec, generate_synthetic
 from .spikes import SpikeConfig
@@ -181,7 +188,18 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     )
     with open(args.events, "rb") as fh:
         events, parse_rejects = parse_events(fh)
-    corpus, build_rejects = build_corpus(events, config)
+    try:
+        corpus, build_rejects = build_corpus(events, config)
+    except EmptyCorpusError as exc:
+        rejects = sorted([*parse_rejects, *exc.rejects])
+        if not rejects:
+            raise EmptyCorpusError(f"{args.events}: the file has no event rows") from None
+        first = rejects[0]
+        detail = " ".join(first.detail.splitlines())  # a quoted line break stays in its cell
+        raise EmptyCorpusError(
+            f"{args.events}: all {len(rejects)} rows rejected; "
+            f"first: line {first.line}, {first.reason} {detail}"
+        ) from None
 
     params = {
         "epoch": args.epoch.isoformat(),

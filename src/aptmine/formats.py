@@ -124,7 +124,7 @@ def format_thread(thread: Thread, registry: AtomRegistry, params: Mapping[str, s
         lines.append("\t".join([str(atom_id), atom.predicate.name, *atom.args, flag]))
     lines.append(f"periods\t{thread.t_max}")
     for t in range(1, thread.t_max + 1):
-        lines.append(" ".join(str(a) for a in sorted(thread.world(t))))
+        lines.append(" ".join(map(str, sorted(thread.world(t)))))
     return "\n".join(lines) + "\n"
 
 

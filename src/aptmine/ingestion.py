@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Mapping
 
-from .model import RESERVED, AptmineError, AtomRegistry, Predicate, Thread
+from .model import RESERVED_CHAR, AptmineError, AtomRegistry, Predicate, Thread
 from .spikes import SpikeConfig, spike_atoms
 
 EXPECTED_HEADER = ("date", "predicate", "arg1", "arg2", "actor")
@@ -26,7 +26,6 @@ THEATERS = ("Iraq", "Syria")
 TOTAL_THEATER = "Total"
 SPIKE_SUFFIX = "Spike"  # spike atoms are <predicate>Spike(theater, <k>sigma)
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
-_RESERVED_CHAR = re.compile(f"[{re.escape(RESERVED)}]")
 
 
 class FormatError(AptmineError):
@@ -34,7 +33,11 @@ class FormatError(AptmineError):
 
 
 class EmptyCorpusError(AptmineError):
-    """No usable events were left to build a corpus from."""
+    """No usable events were left to build a corpus from; ``rejects`` says why, by line."""
+
+    def __init__(self, message: str, rejects: Iterable[Reject] = ()) -> None:
+        super().__init__(message)
+        self.rejects = sorted(rejects)
 
 
 @dataclass(frozen=True, slots=True)
@@ -161,7 +164,7 @@ def _name_reject(row: list[str], predicate: str, arg1: str, arg2: str) -> tuple[
         return "reserved predicate", predicate
     if arg2 and not arg1:
         return "gap in arguments", ",".join(row)
-    bad = next((v for v in (predicate, arg1, arg2) if _RESERVED_CHAR.search(v)), None)
+    bad = next((v for v in (predicate, arg1, arg2) if RESERVED_CHAR.search(v)), None)
     if bad is not None:
         return "reserved character", bad
     return None
@@ -312,7 +315,7 @@ def build_corpus(
             if (event.predicate, event.args) in failed and periods_of[event.date]
         )
     if not interned:
-        raise EmptyCorpusError("every event was rejected")
+        raise EmptyCorpusError("every event was rejected", rejects)
 
     # Only interned atoms stretch the thread: a rejected row leaves no trace.
     t_max = max(max(periods) for *_, periods in interned)
@@ -349,7 +352,4 @@ def build_corpus(
                 worlds[period - 1].append(atom)
 
     registry.freeze()
-    # A set sized in one step gives a frozenset half the table of one grown
-    # member by member, and Thread keeps a frozenset as it is.
-    thread = Thread(frozenset(set(world)) for world in worlds)
-    return BuiltCorpus(thread, registry, count_series), sorted(rejects)
+    return BuiltCorpus(Thread(worlds), registry, count_series), sorted(rejects)

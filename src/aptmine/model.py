@@ -5,14 +5,16 @@ A rule's precondition is a :class:`Conjunction` of positive atoms; its
 consequence is a single atom id.
 A :class:`Thread` is the single historical corpus: a sequence of worlds
 indexed 1..t_max (1-based, inclusive), each world the set of atom ids
-true in that period.  Threads keep both the world frozensets and a
-per-atom occurrence bitmask (bit t-1 set iff the atom holds at time t),
-so the subset tests and co-occurrence counts that dominate rule mining
-reduce to integer AND plus popcount.
+true in that period.  Threads keep each world as the sorted tuple of its
+distinct atom ids, the form a thread file spells, and a per-atom
+occurrence bitmask (bit t-1 set iff the atom holds at time t), so the
+subset tests and co-occurrence counts that dominate rule mining reduce to
+integer AND plus popcount.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -38,12 +40,13 @@ class FrozenRegistryError(AptmineError):
 # Reserved in predicate names and arguments so the rendered form
 # ``pred(arg1,arg2)`` and the tab-separated file formats stay unambiguous.
 RESERVED = "(),\t\n\r"
+RESERVED_CHAR = re.compile(f"[{re.escape(RESERVED)}]")
 
 
 def _check_token(kind: str, value: str) -> str:
     if not isinstance(value, str) or not value:
         raise ValueError(f"{kind} must be a non-empty string, got {value!r}")
-    if any(ch in RESERVED for ch in value):
+    if RESERVED_CHAR.search(value):
         raise ValueError(f"{kind} {value!r} contains a reserved character (one of {RESERVED!r})")
     return value
 
@@ -230,16 +233,16 @@ class Thread:
     __slots__ = ("_worlds", "_masks")
 
     def __init__(self, worlds: Iterable[Iterable[AtomId]]) -> None:
-        built: list[frozenset[AtomId]] = []
+        built: list[tuple[AtomId, ...]] = []
         masks: dict[AtomId, int] = {}
         for i, members in enumerate(worlds):
-            world = frozenset(members)
+            world = set(members)
             bit = 1 << i
             for a in world:
                 if not isinstance(a, int) or isinstance(a, bool) or a < 0:
                     raise ValueError(f"world members must be non-negative atom ids, got {a!r}")
                 masks[a] = masks.get(a, 0) | bit
-            built.append(world)
+            built.append(tuple(sorted(world)))  # after the check: "0" and 0 do not compare
         if not built:
             raise ValueError("a thread must contain at least one world")
         self._worlds = tuple(built)
@@ -252,7 +255,7 @@ class Thread:
     def world(self, t: int) -> frozenset[AtomId]:
         if not isinstance(t, int) or isinstance(t, bool) or not 1 <= t <= len(self._worlds):
             raise TimeIndexError(f"time index {t!r} outside 1..{len(self._worlds)}")
-        return self._worlds[t - 1]
+        return frozenset(self._worlds[t - 1])
 
     def time_mask(self, atom_id: AtomId) -> int:
         """Bitmask of this atom's occurrence times (bit t-1 <=> holds at t)."""

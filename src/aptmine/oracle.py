@@ -285,6 +285,17 @@ def _reference_parse_reject(cells: list[str]) -> tuple[str, str] | None:
     return None
 
 
+def _reference_spikes(counts: tuple[int, ...], t: int, window: int, k: float) -> bool:
+    """Whether period t's count spikes at k against the ``window`` counts before it."""
+    if t <= window:
+        return False
+    recent = [Fraction(c) for c in counts[t - 1 - window : t - 1]]
+    mean = sum(recent) / window
+    variance = sum((c - mean) ** 2 for c in recent) / window
+    value = counts[t - 1]
+    return value > mean and (value - mean) ** 2 >= Fraction(repr(k)) ** 2 * variance
+
+
 def reference_ingest(
     csv_text: str, map_text: str, config: CorpusConfig
 ) -> tuple[BuiltCorpus, list[Reject]]:
@@ -299,15 +310,15 @@ def reference_ingest(
     from the epoch by ``date.toordinal()``.  Event atoms are numbered by
     sorting the kept events by (period, predicate, args); the first atom of
     a predicate in that order fixes its arity.  Spike atoms follow, by
-    predicate, theater (Iraq, Syria, Total) and threshold; their periods
-    come from ``spikes.spike_atoms`` on this function's own count series.
+    predicate, theater (Iraq, Syria, Total) and threshold.  A period spikes
+    at k when, against the previous ``window`` counts in exact fractions,
+    count > mean and (count - mean)**2 >= k**2 * variance, with k the
+    decimal ``repr(k)`` spells.
     Raises FormatError for a bad header or map row, EmptyCorpusError when
     no event is left, and ValueError for a spike series no event has.
     """
     import csv
     import io
-
-    from .spikes import spike_atoms
 
     theaters = ("Iraq", "Syria")
     places: dict[str, str] = {}
@@ -379,6 +390,7 @@ def reference_ingest(
         worlds[period - 1].add(ids[predicate, args])
 
     counted = series if config.spike_series is not None else {p for _, p, _, _ in kept}
+    window = config.spike_config.window
     count_series: dict[tuple[str, str], tuple[int, ...]] = {}
     for predicate in sorted(counted):
         for theater in (*theaters, "Total"):
@@ -391,9 +403,8 @@ def reference_ingest(
                 for t in range(1, t_max + 1)
             )
             count_series[predicate, theater] = counts
-            spikes = spike_atoms(counts, config.spike_config)
             for k in config.spike_config.thresholds:
-                periods = [t for t, threshold in spikes if threshold == k]
+                periods = [t for t in range(1, t_max + 1) if _reference_spikes(counts, t, window, k)]
                 if not periods:
                     continue
                 atom = registry.intern(Predicate(predicate + "Spike", 2), (theater, f"{k:g}sigma"))
@@ -486,14 +497,11 @@ def generate_synthetic(spec: SynthSpec) -> BuiltCorpus:
         consequence_ids.append(atom)
 
     worlds: list[set[int]] = [set() for _ in range(spec.t_max)]
-    for i in range(spec.n_env):
-        for t in range(spec.t_max):
-            if rng.random() < spec.density:
-                worlds[t].add(i)
-    for atom in consequence_ids:
-        for t in range(spec.t_max):
-            if rng.random() < spec.density:
-                worlds[t].add(atom)
+    draw, density = rng.random, spec.density
+    for atom in (*range(spec.n_env), *consequence_ids):
+        for world in worlds:
+            if draw() < density:
+                world.add(atom)
     for plant, atom in zip(spec.planted, consequence_ids):
         scheduled = sorted(rng.sample(range(1, spec.t_max), plant.placements))
         for t in scheduled:

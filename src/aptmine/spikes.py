@@ -5,14 +5,16 @@ average plus k moving (population) standard deviations, and strictly
 exceeds the moving average.  The window covers the previous ``window``
 periods only, never the current one, so nothing can be emitted before
 period window + 1.  Thresholds are cumulative: a count clearing the 2.0
-threshold also clears 1.0 and yields both emissions.
+threshold also clears 1.0 and yields both emissions.  k is the decimal
+``repr(k)`` spells, and the test runs in integers, so a count that exactly
+reaches the threshold spikes on every Python.
 """
 
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 
@@ -36,15 +38,21 @@ def spike_atoms(counts: Sequence[int], config: SpikeConfig) -> list[tuple[int, f
     """The ``(period, threshold)`` spikes of a count series (period 1 first),
     ordered by period, then threshold.
 
-    Periods 1..window are never emitted; a flat window (sigma = 0) emits
-    nothing because the count must strictly exceed the moving average.
+    Periods 1..window are never emitted, and neither is a count equal to a
+    flat window's value (sigma = 0), because the count must strictly exceed
+    the moving average.  With S and Q the sum and the sum of squares of the
+    w window counts and k = p/q, count c spikes at k iff w*c - S > 0 and
+    (q*(w*c - S))**2 >= p**2 * (w*Q - S**2): the float test times w*q, squared.
     """
+    w = config.window
+    ratios = [(k, *Fraction(repr(k)).as_integer_ratio()) for k in config.thresholds]
     out: list[tuple[int, float]] = []
-    for t in range(config.window + 1, len(counts) + 1):
-        recent = counts[t - 1 - config.window : t - 1]
-        mean, sigma = statistics.fmean(recent), statistics.pstdev(recent)
-        value = counts[t - 1]
-        if value <= mean:
+    for t in range(w + 1, len(counts) + 1):
+        recent = counts[t - 1 - w : t - 1]
+        total = sum(recent)
+        excess = w * counts[t - 1] - total
+        if excess <= 0:
             continue
-        out.extend((t, k) for k in config.thresholds if value >= mean + k * sigma)
+        spread = w * sum(c * c for c in recent) - total * total
+        out.extend((t, k) for k, p, q in ratios if (q * excess) ** 2 >= p * p * spread)
     return out

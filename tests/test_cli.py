@@ -331,6 +331,31 @@ def test_ingest_lists_build_rejects_by_line(tmp_path):
     ]
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("2014-06-01,recon,Mosul,,x\n2014-05-01,recon,Mosul,,x\n",
+         "all 2 rows rejected; first: line 2, date before epoch 2014-06-01"),
+        ("2014-02-30,recon,Mosul,,x\n\nJune 9,recon,Mosul,,x\n2014-06-07,recon,Mosul,,x\n",
+         "all 3 rows rejected; first: line 2, unparseable date 2014-02-30"),
+        ('2014-06-09,recon,"Mos\nul",x\n',
+         "all 1 rows rejected; first: line 2, wrong field count 2014-06-09,recon,Mos ul,x"),
+        ("", "the file has no event rows"),
+    ],
+    ids=["before-epoch", "mixed-reasons", "quoted-newline", "header-only"],
+)
+def test_ingest_says_why_every_row_was_rejected(tmp_path, rows, message):
+    events = tmp_path / "events.csv"
+    events.write_text("date,predicate,arg1,arg2,actor\n" + rows)
+    (tmp_path / "locations.csv").write_text("Mosul,Iraq\n")
+    out = tmp_path / "never.thread"
+    result = run("ingest", events, "--location-map", tmp_path / "locations.csv",
+                 "--epoch", "2014-06-08", "--out", out)
+    assert result.returncode == 1
+    assert result.stderr == f"error: {events}: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["events.csv", "locations.csv"]
+
+
 @pytest.mark.parametrize("epoch", ["20140608", "2014-W23-1"])
 def test_ingest_epoch_must_be_year_month_day(tmp_path, epoch):
     out = tmp_path / "never.thread"

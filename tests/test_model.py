@@ -176,6 +176,25 @@ def test_bad_world_members_rejected(member):
         Thread([{member}])
 
 
+def test_world_members_are_checked_before_they_are_sorted():
+    with pytest.raises(ValueError, match="world members"):
+        Thread([{0, "0"}])
+
+
+def test_any_iterable_of_ids_gives_the_same_thread_and_worlds():
+    worlds = [[3, 1, 3, 0], [], [2, 2]]
+    threads = [
+        Thread(worlds),
+        Thread([set(world) for world in worlds]),
+        Thread(frozenset(world) for world in worlds),
+        Thread((a for a in world) for world in worlds),
+    ]
+    for thread in threads:
+        assert thread == threads[0] and hash(thread) == hash(threads[0])
+        assert [thread.world(t) for t in (1, 2, 3)] == [{0, 1, 3}, frozenset(), {2}]
+        assert all(type(thread.world(t)) is frozenset for t in (1, 2, 3))
+
+
 def test_mask_helpers():
     assert list(iter_mask_times(0b10110)) == [2, 3, 5]
     assert list(iter_mask_times(0)) == []

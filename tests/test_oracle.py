@@ -6,7 +6,7 @@ import io
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from aptmine import (
     AptRule,
@@ -241,6 +241,14 @@ def event_csvs(draw):
     return text, text.encode("utf-8")
 
 
+# Weekly bomb counts 0, 0, 0, 1, 2, 3: at window 5 and k = 3 the last count
+# exactly reaches mean 0.6 plus 3 sigma (2.4), which floats put at 3.0000000000000004.
+TIE_CSV = "date,predicate,arg1,arg2,actor\n" + "".join(
+    f"{(EPOCH + dt.timedelta(days=d)).isoformat()},bomb,Mosul,,ISIS\n"
+    for d in (21, 28, 29, 35, 36, 37)
+)
+
+
 def outcome(ingest):
     """(thread text, count series, rejects) of an ingest, or the type of its error."""
     try:
@@ -255,14 +263,17 @@ def outcome(ingest):
 @given(
     source=event_csvs(),
     period_days=st.integers(min_value=1, max_value=10),
-    window=st.integers(min_value=1, max_value=4),
-    thresholds=st.sampled_from([(1.0, 2.0), (0.5,), (0.1, 1.5)]),
+    window=st.integers(min_value=1, max_value=6),
+    thresholds=st.sampled_from([(1.0, 2.0), (0.5,), (0.1, 1.5), (3.0,), (0.2,)]),
     spike_series=st.one_of(
         st.none(),
         st.sets(st.sampled_from(["bomb", "recon", "kidnap", "nosuch"]), min_size=1).map(
             lambda names: tuple(sorted(names))
         ),
     ),
+)
+@example(
+    source=(TIE_CSV, TIE_CSV.encode()), period_days=7, window=5, thresholds=(3.0,), spike_series=None
 )
 def test_engine_ingest_matches_the_reference(source, period_days, window, thresholds, spike_series):
     text, data = source

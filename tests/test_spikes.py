@@ -36,6 +36,19 @@ def test_window_excludes_the_current_period():
     assert emissions == [(5, 1.0)]
 
 
+@pytest.mark.parametrize("counts", [(0, 0, 0, 1, 2, 3), (0, 0, 0, 2, 4, 6)])
+def test_a_count_exactly_at_the_threshold_spikes(counts):
+    # Window [0, 0, 0, 1, 2]: mean 0.6, sigma 0.8, so 3 sigma lands exactly
+    # on the count 3; floats give 3.0000000000000004.  Doubling keeps the tie.
+    assert spike_atoms(counts, SpikeConfig(window=5, thresholds=(3.0,))) == [(6, 3.0)]
+
+
+def test_the_threshold_is_the_decimal_written():
+    # Window [0, 20]: mean 10, sigma 10.  The count 11 is exactly 0.1 sigma
+    # above the mean, and the binary 0.1 is a little above one tenth.
+    assert spike_atoms((0, 20, 11), SpikeConfig(window=2, thresholds=(0.1,))) == [(3, 0.1)]
+
+
 def test_spike_config_validation():
     with pytest.raises(ValueError, match="window"):
         SpikeConfig(window=0)
