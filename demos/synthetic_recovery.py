@@ -37,7 +37,7 @@ print(f"{corpus.thread.t_max} periods, {len(corpus.registry)} atoms")
 params = ExtractParams(max_dim=3, supp_lb=5, min_prob=0.35)
 report = pf_rule_extract(corpus.thread, corpus.registry, params)
 print(f"extracted {len(report.rules)} rules "
-      f"({report.combinations_explored} combinations explored)")
+      f"({report.combinations_explored} frequent candidates evaluated)")
 
 # %%
 ranked = pf_rule_compare(corpus.thread, report.rules)

@@ -243,7 +243,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     save_rules(args.out, report.rules, registry, file_params)
     print(
         f"extracted {len(report.rules)} rules "
-        f"({report.combinations_explored} combinations explored) -> {args.out}"
+        f"({report.combinations_explored} frequent candidates evaluated) -> {args.out}"
     )
     return 0
 
@@ -261,45 +261,41 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _render_report(records) -> str:
-    columns = ("No.", "precondition", "eps_avg", "p", "p*", "rho", "s", "eps_min", "eps_frac", "|R(r)|")
+    titles = ("No.", "precondition", "eps_avg", "p", "p*", "rho", "s", "eps_min", "eps_frac", "|R(r)|")
     groups: dict[str, list] = {}
     for record in records:
         groups.setdefault(record.consequence, []).append(record)
+    if not groups:
+        return "  ".join(titles) + "\n"
+    _, preconditions, avgs, mins, fracs, related, _, ps, p_stars, rhos, supports = zip(
+        *(record for members in groups.values() for record in members)
+    )
 
-    def fmt(value: float | None) -> str:
-        return "na" if value is None else f"{value:.3f}"
+    def fixed(values) -> list[str]:
+        return ["na" if value is None else f"{value:.3f}" for value in values]
 
-    rows_by_group = []
+    columns = [
+        [str(n) for members in groups.values() for n in range(1, len(members) + 1)],
+        [" & ".join(atoms) for atoms in preconditions],
+        fixed(avgs),
+        fixed(ps),
+        fixed(p_stars),
+        fixed(rhos),
+        list(map(str, supports)),
+        fixed(mins),
+        fixed(fracs),
+        list(map(str, related)),
+    ]
+    widths = [max(len(title), *map(len, column)) for title, column in zip(titles, columns)]
+    row = "  ".join(f"{{:<{width}}}" for width in widths).format
+    rows = [line.rstrip() for line in map(row, *columns)]
+    lines = [row(*titles).rstrip()]
+    start = 0
     for consequence, members in groups.items():
-        rows = []
-        for number, record in enumerate(members, start=1):
-            rows.append(
-                (
-                    str(number),
-                    " & ".join(record.precondition),
-                    fmt(record.eps_avg),
-                    f"{record.p:.3f}",
-                    f"{record.p_star:.3f}",
-                    f"{record.rho:.3f}",
-                    str(record.support),
-                    fmt(record.eps_min),
-                    fmt(record.eps_frac),
-                    str(record.related_count),
-                )
-            )
-        rows_by_group.append((consequence, rows))
-
-    widths = [len(c) for c in columns]
-    for _, rows in rows_by_group:
-        for row in rows:
-            widths = [max(w, len(cell)) for w, cell in zip(widths, row)]
-    header = "  ".join(c.ljust(w) for c, w in zip(columns, widths)).rstrip()
-    lines = [header]
-    for consequence, rows in rows_by_group:
         lines.append("")
         lines.append(f"consequence: {consequence}")
-        for row in rows:
-            lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+        lines.extend(rows[start : start + len(members)])
+        start += len(members)
     return "\n".join(lines) + "\n"
 
 

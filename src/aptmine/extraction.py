@@ -3,19 +3,27 @@
 For each occurring action atom g, a candidate precondition is a set S of
 frequent environmental atoms, without g and with at most max_dim atoms,
 whose occurrence mask meets a qualifying time (t <= t_max - 1 with g in
-the successor world), a bit of stats.ConsequenceCounter(thread, g).qualifying.
-One depth-first walk over the sorted pool finds them, carrying each
-prefix's mask down, and each is evaluated once, from its mask, against
-the support, prior, and minimum-probability gates.  g's counter is built
-once and gives p and p* straight from the mask; AptRule and RuleStats are
-built only for the rules that pass.
+the successor world), a bit of stats.ConsequenceCounter(thread, g).qualifying,
+and holds at supp_lb times or more.  One depth-first walk over the sorted
+pool finds them, carrying each prefix's mask down, and each is evaluated
+once, from its mask, against the prior and minimum-probability gates.  g's
+counter is built once and gives p and p* straight from the mask; AptRule
+and RuleStats are built only for the rules that pass.
 
-Nothing that could pass the gates is lost.  A set with an infrequent atom
-fails the support gate.  A set whose mask misses every qualifying time has
-p = 0 (or none) and cannot beat rho > 0.  And adding an atom only clears
-mask bits, so no extension of a cut branch can meet a qualifying time.
-The report carries the counters needed to check the walk against a bound
-computed from the per-period candidate counts.
+Nothing that could pass the gates is lost.  The walk cuts a set, and with
+it every extension, on two grounds, and adding an atom only clears mask
+bits, so each cut holds for all the extensions too:
+
+* the mask misses every qualifying time: p = 0 (or none), which cannot
+  beat rho > 0, and no extension can meet a qualifying time again;
+* the mask holds at fewer than supp_lb times: the set fails the support
+  gate, and an extension's support is no larger (Apriori's
+  anti-monotonicity; the walk is Eclat's vertical tid-set search).
+
+A set with an infrequent atom is the second cut at the root, so the pool
+holds only frequent atoms.  The report carries the counters needed to
+check the walk against a bound computed from the per-period candidate
+counts.
 """
 
 from __future__ import annotations
@@ -66,7 +74,8 @@ class ExtractionReport:
     """Extracted rules plus the instrumentation counters.
 
     rules                    (rule, stats) pairs in canonical order
-    combinations_explored    distinct (precondition, consequence) pairs evaluated
+    combinations_explored    nodes the walk evaluated: (precondition, consequence)
+                             pairs that meet a qualifying time and clear supp_lb
     active_env_counts        per period: environmental atoms active there
     candidate_atom_counts    per period: frequent environmental atoms active there
     consequence_period_pairs (g, t) pairs with g in the successor world of t
@@ -111,7 +120,9 @@ def candidate_preconditions(
 ) -> Iterator[tuple[tuple[AtomId, ...], int]]:
     """The candidates for one consequence, lazily, as (atom tuple, occurrence mask).
 
-    Each comes once, in sorted atom-tuple order (the walk's pre-order).  An
+    Each comes once, in sorted atom-tuple order (the walk's pre-order).
+    frequent must hold only atoms with support >= params.supp_lb, as
+    frequent_env_atoms gives them; then every candidate clears supp_lb.  An
     absent consequence raises EmptyConsequenceError at the call itself.
     """
     if not thread.time_mask(consequence):
@@ -119,23 +130,29 @@ def candidate_preconditions(
     qualifying = ConsequenceCounter(thread, consequence).qualifying
     pool = sorted(frequent - {consequence})
     roots = [(a, m) for a in pool if (m := thread.time_mask(a)) & qualifying]
-    return _walk((), roots, qualifying, params.max_dim)
+    return _walk((), roots, qualifying, params.supp_lb, params.max_dim)
 
 
 def _walk(
     prefix: tuple[AtomId, ...],
     siblings: list[tuple[AtomId, int]],
     qualifying: int,
+    supp_lb: int,
     depth: int,
 ) -> Iterator[tuple[tuple[AtomId, ...], int]]:
     # siblings: the atoms after the prefix's last one, each with the mask of
-    # prefix + atom, kept only where that mask still meets a qualifying time.
+    # prefix + atom, kept only where that mask still holds at supp_lb times
+    # or more and meets a qualifying time.
     for i, (atom, mask) in enumerate(siblings):
         atoms = (*prefix, atom)
         yield atoms, mask
         if depth > 1:
-            children = [(b, both) for b, m in siblings[i + 1 :] if (both := mask & m) & qualifying]
-            yield from _walk(atoms, children, qualifying, depth - 1)
+            children = [
+                (b, both)
+                for b, m in siblings[i + 1 :]
+                if (both := mask & m).bit_count() >= supp_lb and both & qualifying
+            ]
+            yield from _walk(atoms, children, qualifying, supp_lb, depth - 1)
 
 
 def pf_rule_extract(
@@ -171,11 +188,11 @@ def pf_rule_extract(
         rho = prior(thread, g)
         for atoms, mask in candidate_preconditions(thread, g, params, frequent):
             explored += 1
-            support = mask.bit_count()
-            # p is a number: each mask meets a qualifying t <= t_max - 1.
-            if support >= params.supp_lb and (p := counter.p(mask)) > rho and p >= params.min_prob:
+            # p is a number: each mask meets a qualifying t <= t_max - 1.  The
+            # walk keeps no mask below supp_lb, so the support gate holds.
+            if (p := counter.p(mask)) > rho and p >= params.min_prob:
                 rule = AptRule(Conjunction(atoms), g)
-                rules.append((rule, RuleStats(p, counter.p_star(mask), rho, support)))
+                rules.append((rule, RuleStats(p, counter.p_star(mask), rho, mask.bit_count())))
 
     return ExtractionReport(
         rules=tuple(rules),

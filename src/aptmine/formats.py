@@ -11,16 +11,23 @@ Writes are atomic: content is built in memory and moved into place, so a
 failed run leaves no partial output file.  Loaders accept numbers only as
 the writers spell them (ASCII decimal, finite), check their ranges, and
 raise every fault as a FormatError naming path:line.
+
+Rules and scored files are read a column at a time: one pattern matches
+each record line whole, each distinct statistics text is parsed once, and
+each numeric column is range-checked once.  That pass only decides whether
+the file is sound.  When it is not, the per-line checks scan the file again
+and word the first fault, so the diagnostic names the same line and text
+whichever check caught it.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 import re
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .model import ArityError, AtomId, AtomRegistry, Conjunction, Predicate, Thread
 from .stats import AptRule, RuleStats
@@ -37,6 +44,22 @@ UNSCORED = "na"
 # The decimal forms repr(float) writes; float() alone would also read a '+'
 # sign, '_', whitespace, non-ASCII digits, nan and inf.
 _FLOAT = re.compile(r"-?[0-9]+(?:\.[0-9]+)?(?:e[-+][0-9]+)?")
+# The fields of a rules record, matched whole: the statistics (p, p*, rho
+# as _FLOAT spells them, then support) as one text, the consequence, the
+# dimension and the atoms, whose tabs are left in the last group.  [0-9] is
+# ASCII only, as _uint requires.
+_F = _FLOAT.pattern
+_RULE_FIELDS = rf"({_F}\t{_F}\t{_F}\t[0-9]+)\t([^\t]*)\t([0-9]+)\t(.*)"
+_RULE_LINE = re.compile(_RULE_FIELDS, re.S)
+# A scored record puts eps_avg, eps_min, eps_frac, related and never
+# separated first: na thrice exactly where related is 0.
+_SCORED_LINE = re.compile(
+    rf"(?:na\tna\tna(?=\t0+\t)|({_F})\t({_F})\t({_F})(?=\t0*[1-9]))\t([0-9]+)\t([0-9]+)\t{_RULE_FIELDS}",
+    re.S,
+)
+# A period line: atom ids in ASCII digits between the whitespace str.split()
+# splits on, which is what \s matches.
+_PERIOD_LINE = re.compile(r"[0-9\s]*")
 
 
 def write_atomic(path: str | Path, text: str) -> None:
@@ -101,6 +124,18 @@ def _float(path: str | Path, lineno: int, text: str, what: str) -> float:
     if _FLOAT.fullmatch(text) and math.isfinite(value := float(text)):
         return value
     raise FormatError(f"{path}:{lineno}: {what} must be finite decimal numbers, got {text!r}")
+
+
+def _within(column: Iterable[float | None], low: float, high: float) -> bool:
+    """Every number of a column lies in [low, high], so none is infinite (_FLOAT
+    spells 1e+999); None (na) entries are skipped."""
+    numbers = [v for v in column if v is not None]
+    return not numbers or (low <= min(numbers) and max(numbers) <= high)
+
+
+def _names(registry: AtomRegistry) -> list[str]:
+    """Every atom's rendered name, indexed by id."""
+    return [registry.render(a) for a in registry.ids()]
 
 
 # ---------------------------------------------------------------- threads
@@ -181,13 +216,23 @@ def load_thread(path: str | Path) -> tuple[Thread, AtomRegistry, dict[str, str]]
         )
     worlds = []
     for lineno, line in enumerate(body, start=period_lineno + 1):
-        members = [_uint(path, lineno, tok, "period atom ids") for tok in line.split()]
-        for member in members:
-            if member >= n_atoms:
-                raise FormatError(f"{path}:{lineno}: period references unknown atom id {member}")
-        worlds.append(members)
+        if _PERIOD_LINE.fullmatch(line):
+            members = list(map(int, line.split()))
+            if max(members, default=-1) < n_atoms:
+                worlds.append(members)
+                continue
+        worlds.append(_period_members(path, lineno, line, n_atoms))  # raises, naming the fault
     registry.freeze()
     return Thread(worlds), registry, params
+
+
+def _period_members(path: str | Path, lineno: int, line: str, n_atoms: int) -> list[int]:
+    """A period line's atom ids, checked token by token."""
+    members = [_uint(path, lineno, tok, "period atom ids") for tok in line.split()]
+    for member in members:
+        if member >= n_atoms:
+            raise FormatError(f"{path}:{lineno}: period references unknown atom id {member}")
+    return members
 
 
 def _parse_count(path: str | Path, lineno: int, line: str) -> int:
@@ -201,14 +246,14 @@ def _float_field(value: float) -> str:
     return repr(float(value))
 
 
-def _rule_fields(rule: AptRule, stats: RuleStats, registry: AtomRegistry) -> list[str]:
+def _rule_fields(rule: AptRule, stats: RuleStats, names: list[str]) -> list[str]:
     """The columns rules and scored lines share: p, p*, rho, support, consequence, dim, atoms."""
     return [
         *(_float_field(v) for v in (stats.p, stats.p_star, stats.rho)),
         str(stats.support),
-        registry.render(rule.consequence),
+        names[rule.consequence],
         str(rule.precondition.dimension),
-        *(registry.render(a) for a in rule.precondition.atoms),
+        *(names[a] for a in rule.precondition.atoms),
     ]
 
 
@@ -234,8 +279,9 @@ def format_rules(
     registry: AtomRegistry,
     params: Mapping[str, str],
 ) -> str:
+    names = _names(registry)
     lines = [RULES_MAGIC, _params_line(params)]
-    lines.extend("\t".join(_rule_fields(rule, stats, registry)) for rule, stats in rules)
+    lines.extend("\t".join(_rule_fields(rule, stats, names)) for rule, stats in rules)
     return "\n".join(lines) + "\n"
 
 
@@ -257,7 +303,52 @@ def load_rules(
     atoms as its consequence.
     """
     lines, params = _read_lines(path, RULES_MAGIC)
-    resolve = {registry.render(a): a for a in registry.ids()}
+    resolve = {name: a for a, name in enumerate(_names(registry))}
+    rules = _rules_by_column(lines, registry, resolve)
+    if rules is None:
+        rules = _rules_by_line(path, lines, registry, resolve)  # raises, naming the first fault
+    return rules, params
+
+
+def _rules_by_column(
+    lines: list[str], registry: AtomRegistry, resolve: Mapping[str, AtomId]
+) -> list[tuple[AptRule, RuleStats]] | None:
+    """The rules of a sound file, from one match per line; None if any check fails.
+
+    Each distinct statistics text is parsed and range-checked (by RuleStats)
+    once, and its RuleStats is shared by the rules that spell it.
+    """
+    action = registry.action_set
+    stats_by_text: dict[str, RuleStats] = {}
+    out: list[tuple[AptRule, RuleStats]] = []
+    try:  # KeyError: an unknown atom; ValueError: a bad rule or statistic
+        for line in lines:
+            match = _RULE_LINE.fullmatch(line)
+            if match is None:
+                return None
+            numbers, consequence, dim, atoms = match.groups()
+            ids = [resolve[a] for a in atoms.split("\t")]
+            rule = AptRule(Conjunction(ids), resolve[consequence])
+            # A repeated atom makes the conjunction shorter than its line.
+            if not len(ids) == rule.precondition.dimension == int(dim):
+                return None
+            if rule.consequence not in action:
+                return None
+            if numbers not in stats_by_text:
+                p, p_star, rho, support = numbers.split("\t")
+                stats_by_text[numbers] = RuleStats(float(p), float(p_star), float(rho), int(support))
+            out.append((rule, stats_by_text[numbers]))
+    except (KeyError, ValueError):
+        return None
+    if len({rule for rule, _ in out}) != len(out):
+        return None
+    return out
+
+
+def _rules_by_line(
+    path: str | Path, lines: list[str], registry: AtomRegistry, resolve: Mapping[str, AtomId]
+) -> list[tuple[AptRule, RuleStats]]:
+    """The rules of a file checked line by line: raises on its first fault."""
     out: list[tuple[AptRule, RuleStats]] = []
     seen: set[AptRule] = set()
     for lineno, line in enumerate(lines, start=3):
@@ -278,14 +369,13 @@ def load_rules(
             raise FormatError(f"{path}:{lineno}: duplicate rule, first on line {first}")
         seen.add(rule)
         out.append((rule, stats))
-    return out, params
+    return out
 
 
 # ----------------------------------------------------------- scored rules
 
 
-@dataclass(frozen=True, slots=True)
-class ScoredRecord:
+class ScoredRecord(NamedTuple):
     """A scored rule as stored on disk: atom texts plus the numbers."""
 
     consequence: str
@@ -306,6 +396,7 @@ def format_scored(
     registry: AtomRegistry,
     params: Mapping[str, str],
 ) -> str:
+    names = _names(registry)
     lines = [SCORED_MAGIC, _params_line(params)]
     for g in sorted(ranked):
         for sr in ranked[g]:
@@ -315,7 +406,7 @@ def format_scored(
                 else tuple(_float_field(v) for v in (sr.eps_avg, sr.eps_min, sr.eps_frac))
             )
             counts = (str(sr.related_count), str(sr.never_separated_count))
-            lines.append("\t".join([*eps, *counts, *_rule_fields(sr.rule, sr.stats, registry)]))
+            lines.append("\t".join([*eps, *counts, *_rule_fields(sr.rule, sr.stats, names)]))
     return "\n".join(lines) + "\n"
 
 
@@ -353,6 +444,52 @@ def _parse_eps(
 def load_scored(path: str | Path) -> tuple[list[ScoredRecord], dict[str, str]]:
     """Parse a scored-rules file into renderable records (registry-free)."""
     lines, params = _read_lines(path, SCORED_MAGIC)
+    records = _scored_by_column(lines)
+    if records is None:
+        records = _scored_by_line(path, lines)  # raises, naming the first fault
+    return records, params
+
+
+def _scored_by_column(lines: list[str]) -> list[ScoredRecord] | None:
+    """The records of a sound file, from one match per line and one range check
+    per column; None if any check fails."""
+    stats_by_text: dict[str, tuple[float, float, float, int]] = {}
+    out: list[ScoredRecord] = []
+    try:  # ValueError: an integer longer than int() reads
+        for line in lines:
+            match = _SCORED_LINE.fullmatch(line)
+            if match is None:
+                return None
+            avg, low, frac, related, never, numbers, consequence, dim, atoms = match.groups()
+            atoms = tuple(atoms.split("\t"))
+            if not len(set(atoms)) == len(atoms) == int(dim):
+                return None
+            if numbers not in stats_by_text:
+                p, p_star, rho, support = numbers.split("\t")
+                stats_by_text[numbers] = (float(p), float(p_star), float(rho), int(support))
+            eps = (None, None, None) if avg is None else (float(avg), float(low), float(frac))
+            counts = (int(related), int(never))
+            out.append(ScoredRecord(consequence, atoms, *eps, *counts, *stats_by_text[numbers]))
+    except ValueError:
+        return None
+    if not out:
+        return out
+    _, _, avgs, mins, fracs, related, never, ps, p_stars, rhos, _ = zip(*out)
+    if not (
+        _within(avgs, -1.0, 1.0)
+        and _within(mins, -1.0, 1.0)
+        and _within(fracs, 0.0, 1.0)
+        and all(map(operator.le, never, related))
+        and _within(ps, 0.0, 1.0)
+        and _within(p_stars, 0.0, 1.0)
+        and _within(rhos, 0.0, 1.0)
+    ):
+        return None
+    return out
+
+
+def _scored_by_line(path: str | Path, lines: list[str]) -> list[ScoredRecord]:
+    """The records of a file checked line by line: raises on its first fault."""
     out: list[ScoredRecord] = []
     for lineno, line in enumerate(lines, start=3):
         fields = line.split("\t")
@@ -365,7 +502,7 @@ def load_scored(path: str | Path) -> tuple[list[ScoredRecord], dict[str, str]]:
                 consequence, atoms, *eps_and_counts, stats.p, stats.p_star, stats.rho, stats.support
             )
         )
-    return out, params
+    return out
 
 
 # -------------------------------------------------------- counts, rejects

@@ -22,6 +22,7 @@ from aptmine import (
     frequent_env_atoms,
     generate_synthetic,
     pf_rule_extract,
+    sparse_benchmark_corpus,
     subset_count,
 )
 
@@ -108,7 +109,34 @@ def test_walk_yields_the_sorted_subsets_of_qualifying_worlds(seed, max_dim):
                 active = sorted(thread.world(t) & pool)
                 for m in range(1, max_dim + 1):
                     expect.update(combinations(active, m))
+        # The walk cuts every set below supp_lb: support only shrinks as a set grows.
+        expect = {s for s in expect if thread.times_mask(s).bit_count() >= params.supp_lb}
         assert walk(thread, g, params, frequent) == sorted(expect)
+
+
+def test_walk_cuts_a_qualifying_pair_below_the_support_bound():
+    # a and b each hold twice and meet qualifying times (g follows t = 1, 3, 5),
+    # but together they hold only at t = 1: the pair meets a qualifying time
+    # with support 1 < supp_lb = 2, so it is neither yielded nor counted.
+    registry = AtomRegistry()
+    for name in "abg":
+        registry.mark_env(registry.intern(Predicate(name, 0)))
+    registry.mark_action(2)
+    registry.freeze()
+    thread = Thread([{0, 1}, {2}, {0}, {2}, {1}, {2}])
+    params = ExtractParams(max_dim=2, supp_lb=2, min_prob=0.0)
+    frequent = frequent_env_atoms(thread, registry, params.supp_lb)
+    assert walk(thread, 2, params, frequent) == [(0,), (1,)]
+    report = pf_rule_extract(thread, registry, params)
+    assert report.combinations_explored == 2
+    assert [rule.precondition.atoms for rule, _ in report.rules] == [(0,), (1,)]
+
+
+def test_sparse_benchmark_counters_are_pinned():
+    # 686,839 nodes meet a qualifying time; only 41,110 of them also clear supp_lb.
+    report = pf_rule_extract(*sparse_benchmark_corpus(), ExtractParams())
+    assert report.combinations_explored == 41_110
+    assert len(report.rules) == 12_702
 
 
 def test_candidates_for_absent_consequence(t1):

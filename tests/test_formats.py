@@ -2,9 +2,12 @@
 
 import datetime as dt
 import math
+import re
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from aptmine import (
     AtomRegistry,
@@ -26,6 +29,7 @@ from aptmine import (
     save_thread,
     t1_corpus,
 )
+from aptmine import formats
 from aptmine.formats import (
     RULES_MAGIC,
     THREAD_MAGIC,
@@ -398,6 +402,105 @@ def test_mutated_artifacts_load_in_range_or_raise_format_error(tmp_path_factory,
     except FormatError:
         return
     assert_in_range(kind, loaded, blob)
+
+
+@st.composite
+def mutated_artifacts(draw):
+    """A t1 artifact's kind and its bytes after the mutations of the property above."""
+    kind = draw(st.sampled_from(sorted(ARTIFACTS)))
+    blob = ARTIFACTS[kind]
+    data = SimpleNamespace(draw=draw)
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        if draw(st.booleans()):
+            blob = line_edited(blob, data)
+            continue
+        i = draw(st.integers(min_value=0, max_value=len(blob)))
+        j = draw(st.integers(min_value=i, max_value=min(len(blob), i + 6)))
+        blob = blob[:i] + draw(INSERTS) + blob[j:]
+    return kind, blob
+
+
+def with_fields(kind, edits):
+    """A t1 rules or scored artifact with fields replaced: {(line index, field): text}."""
+    lines = ARTIFACTS[kind].decode().split("\n")
+    for (i, field), text in edits.items():
+        fields = lines[i].split("\t")
+        fields[field] = text
+        lines[i] = "\t".join(fields)
+    return kind, "\n".join(lines).encode()
+
+
+def with_period_line(text):
+    """The t1 thread with its first period line (file line 8) replaced."""
+    lines = ARTIFACTS["thread"].decode().split("\n")
+    lines[7] = text
+    return "thread", "\n".join(lines).encode()
+
+
+# Never matches: with it in place of a record or period pattern, every line
+# goes through the per-line checks that word the diagnostics.
+NEVER = re.compile(r"(?!)")
+
+
+def loaded_or_error(path):
+    """What loading gives, comparable across loads: repr() tells -0.0 from 0.0."""
+    try:
+        loaded = load_artifact(path)
+    except FormatError as exc:
+        return f"FormatError: {exc}"
+    if path.suffix == ".thread":
+        thread, registry, params = loaded
+        worlds = [sorted(thread.world(t)) for t in range(1, thread.t_max + 1)]
+        return worlds, registry_snapshot(registry), params
+    return repr(loaded)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutant=mutated_artifacts())
+# Two faults in one file: the first line still names the diagnostic.
+@example(mutant=with_fields("rules", {(2, 3): "1_0", (3, 0): "1.5"}))
+@example(mutant=with_fields("rules", {(2, 0): "1.5", (3, 3): "1_0"}))
+@example(mutant=with_fields("scored", {(2, 8): "1_0", (3, 5): "1.5"}))
+@example(mutant=with_fields("scored", {(2, 5): "1.5", (3, 8): "1_0"}))
+# Faults only the column checks see, one per checked scored column.
+@example(mutant=with_fields("scored", {(3, 0): "-1.5"}))
+@example(mutant=with_fields("scored", {(3, 1): "1.5"}))
+@example(mutant=with_fields("scored", {(4, 2): "1.0000000000000002"}))
+@example(mutant=with_fields("scored", {(3, 4): "7"}))
+@example(mutant=with_fields("scored", {(3, 5): "1.5"}))
+@example(mutant=with_fields("scored", {(3, 6): "2.0"}))
+@example(mutant=with_fields("scored", {(4, 7): "1e+999"}))
+@example(mutant=with_fields("scored", {(3, 0): "na", (3, 1): "na", (3, 2): "na"}))
+@example(mutant=with_fields("scored", {(3, 3): "0", (3, 4): "0"}))
+# str.split() splits on Unicode whitespace; a repeated id is one member.
+@example(mutant=with_period_line("0\u30001"))
+@example(mutant=with_period_line("1 1"))
+@example(mutant=with_period_line("0\u3000\u0661"))
+@example(mutant=with_period_line("0 3"))
+def test_loaders_agree_with_the_per_line_checks(tmp_path_factory, mutant):
+    # The loaders decide on a file by its columns and rescan line by line
+    # only to word a fault; either way they must give what the per-line
+    # checks alone give: equal records, or a FormatError with equal text.
+    kind, blob = mutant
+    path = tmp_path_factory.mktemp("mutant") / f"mutant.{kind}"
+    path.write_bytes(blob)
+    got = loaded_or_error(path)
+    with (
+        mock.patch.object(formats, "_RULE_LINE", NEVER),
+        mock.patch.object(formats, "_SCORED_LINE", NEVER),
+        mock.patch.object(formats, "_PERIOD_LINE", NEVER),
+    ):
+        assert got == loaded_or_error(path)
+
+
+@pytest.mark.parametrize(
+    "text, world", [("0\u30001", {0, 1}), ("1 1", {1}), ("\u2003", set()), (" 2\t0 ", {0, 2})]
+)
+def test_period_lines_split_on_any_whitespace(tmp_path, text, world):
+    path = tmp_path / "t.thread"
+    path.write_bytes(with_period_line(text)[1])
+    thread, _, _ = load_thread(path)
+    assert thread.world(1) == world
 
 
 def test_rules_magic_is_checked(tmp_path):
