@@ -12,18 +12,16 @@ failed run leaves no partial output file.  Loaders accept numbers only as
 the writers spell them (ASCII decimal, finite), check their ranges, and
 raise every fault as a FormatError naming path:line.
 
-Rules and scored files are read a column at a time: one pattern matches
-each record line whole, each distinct statistics text is parsed once, and
-each numeric column is range-checked once.  That pass only decides whether
-the file is sound.  When it is not, the per-line checks scan the file again
-and word the first fault, so the diagnostic names the same line and text
-whichever check caught it.
+Rules and scored files are read in one pass: one pattern matches each
+record line whole, and each distinct statistics text becomes one RuleStats,
+range-checked once and shared by the lines that spell it.  Only a line that
+the pattern or a cheap check refuses goes through the per-line checks, which
+word its fault; a line they accept gives the record the pattern would have.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import os
 import re
 from pathlib import Path
@@ -101,22 +99,28 @@ def _read_lines(path: str | Path, magic: str) -> tuple[list[str], dict[str, str]
         lines.pop()
     if not lines or lines[0] != magic:
         raise FormatError(f"{path}:1: expected first line {magic!r}")
-    if len(lines) < 2 or not lines[1].startswith("params"):
+    head, *parts = lines[1].split("\t") if len(lines) > 1 else [""]
+    if head != "params":
         raise FormatError(f"{path}:2: expected a params line after the version line")
     params: dict[str, str] = {}
-    for part in lines[1].split("\t")[1:]:
+    for part in parts:
         key, sep, value = part.partition("=")
         if not sep:
             raise FormatError(f"{path}:2: malformed params entry {part!r}")
+        if key in params:
+            raise FormatError(f"{path}:2: params repeat the key {key!r}")
         params[key] = value
     return lines[2:], params
 
 
 def _uint(path: str | Path, lineno: int, text: str, what: str) -> int:
     """A non-negative integer field, written in ASCII decimal digits only."""
-    if not (text.isascii() and text.isdigit()):
-        raise FormatError(f"{path}:{lineno}: {what} must be integers in ASCII digits, got {text!r}")
-    return int(text)
+    if text.isascii() and text.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # longer than int() reads
+            pass
+    raise FormatError(f"{path}:{lineno}: {what} must be integers in ASCII digits, got {text!r}")
 
 
 def _float(path: str | Path, lineno: int, text: str, what: str) -> float:
@@ -124,13 +128,6 @@ def _float(path: str | Path, lineno: int, text: str, what: str) -> float:
     if _FLOAT.fullmatch(text) and math.isfinite(value := float(text)):
         return value
     raise FormatError(f"{path}:{lineno}: {what} must be finite decimal numbers, got {text!r}")
-
-
-def _within(column: Iterable[float | None], low: float, high: float) -> bool:
-    """Every number of a column lies in [low, high], so none is infinite (_FLOAT
-    spells 1e+999); None (na) entries are skipped."""
-    numbers = [v for v in column if v is not None]
-    return not numbers or (low <= min(numbers) and max(numbers) <= high)
 
 
 def _names(registry: AtomRegistry) -> list[str]:
@@ -217,8 +214,11 @@ def load_thread(path: str | Path) -> tuple[Thread, AtomRegistry, dict[str, str]]
     worlds = []
     for lineno, line in enumerate(body, start=period_lineno + 1):
         if _PERIOD_LINE.fullmatch(line):
-            members = list(map(int, line.split()))
-            if max(members, default=-1) < n_atoms:
+            try:
+                members = list(map(int, line.split()))
+            except ValueError:  # an id longer than int() reads
+                members = None
+            if members is not None and max(members, default=-1) < n_atoms:
                 worlds.append(members)
                 continue
         worlds.append(_period_members(path, lineno, line, n_atoms))  # raises, naming the fault
@@ -304,72 +304,67 @@ def load_rules(
     """
     lines, params = _read_lines(path, RULES_MAGIC)
     resolve = {name: a for a, name in enumerate(_names(registry))}
-    rules = _rules_by_column(lines, registry, resolve)
-    if rules is None:
-        rules = _rules_by_line(path, lines, registry, resolve)  # raises, naming the first fault
-    return rules, params
-
-
-def _rules_by_column(
-    lines: list[str], registry: AtomRegistry, resolve: Mapping[str, AtomId]
-) -> list[tuple[AptRule, RuleStats]] | None:
-    """The rules of a sound file, from one match per line; None if any check fails.
-
-    Each distinct statistics text is parsed and range-checked (by RuleStats)
-    once, and its RuleStats is shared by the rules that spell it.
-    """
     action = registry.action_set
     stats_by_text: dict[str, RuleStats] = {}
+    first_line: dict[AptRule, int] = {}
     out: list[tuple[AptRule, RuleStats]] = []
-    try:  # KeyError: an unknown atom; ValueError: a bad rule or statistic
-        for line in lines:
-            match = _RULE_LINE.fullmatch(line)
-            if match is None:
-                return None
-            numbers, consequence, dim, atoms = match.groups()
-            ids = [resolve[a] for a in atoms.split("\t")]
-            rule = AptRule(Conjunction(ids), resolve[consequence])
-            # A repeated atom makes the conjunction shorter than its line.
-            if not len(ids) == rule.precondition.dimension == int(dim):
-                return None
-            if rule.consequence not in action:
-                return None
-            if numbers not in stats_by_text:
-                p, p_star, rho, support = numbers.split("\t")
-                stats_by_text[numbers] = RuleStats(float(p), float(p_star), float(rho), int(support))
-            out.append((rule, stats_by_text[numbers]))
-    except (KeyError, ValueError):
-        return None
-    if len({rule for rule, _ in out}) != len(out):
-        return None
-    return out
-
-
-def _rules_by_line(
-    path: str | Path, lines: list[str], registry: AtomRegistry, resolve: Mapping[str, AtomId]
-) -> list[tuple[AptRule, RuleStats]]:
-    """The rules of a file checked line by line: raises on its first fault."""
-    out: list[tuple[AptRule, RuleStats]] = []
-    seen: set[AptRule] = set()
     for lineno, line in enumerate(lines, start=3):
-        fields = line.split("\t")
-        if len(fields) < 7:
-            raise FormatError(f"{path}:{lineno}: malformed rule line {line!r}")
-        stats, consequence, atoms = _parse_rule_fields(path, lineno, fields)
-        try:
-            rule = AptRule(Conjunction(resolve[a] for a in atoms), resolve[consequence])
-        except KeyError as exc:
-            raise FormatError(f"{path}:{lineno}: unknown atom {exc.args[0]!r} for this thread")
-        except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: {exc}")
-        if not registry.is_action(rule.consequence):
-            raise FormatError(f"{path}:{lineno}: consequence {consequence} is not an action atom")
-        if rule in seen:
-            first = next(n for n, (r, _) in enumerate(out, start=3) if r == rule)
-            raise FormatError(f"{path}:{lineno}: duplicate rule, first on line {first}")
-        seen.add(rule)
+        rule, stats = _matched_rule(
+            _RULE_LINE.fullmatch(line), resolve, action, stats_by_text
+        ) or _checked_rule(path, lineno, line, resolve, action)
+        if first_line.setdefault(rule, lineno) != lineno:
+            raise FormatError(f"{path}:{lineno}: duplicate rule, first on line {first_line[rule]}")
         out.append((rule, stats))
-    return out
+    return out, params
+
+
+def _stats(numbers: str, stats_by_text: dict[str, RuleStats]) -> RuleStats:
+    """A matched statistics text's RuleStats, built once per text; ValueError if refused."""
+    stats = stats_by_text.get(numbers)
+    if stats is None:
+        p, p_star, rho, support = numbers.split("\t")
+        stats = stats_by_text[numbers] = RuleStats(float(p), float(p_star), float(rho), int(support))
+    return stats
+
+
+def _matched_rule(
+    match: re.Match[str] | None,
+    resolve: Mapping[str, AtomId],
+    action: frozenset[AtomId],
+    stats_by_text: dict[str, RuleStats],
+) -> tuple[AptRule, RuleStats] | None:
+    """A rules record matched by _RULE_LINE, or None if a cheap check refuses it."""
+    if match is None:
+        return None
+    numbers, consequence, dim, atoms = match.groups()
+    try:  # KeyError: an unknown atom; ValueError: a bad rule or statistic
+        ids = [resolve[a] for a in atoms.split("\t")]
+        rule = AptRule(Conjunction(ids), resolve[consequence])
+        # A repeated atom makes the conjunction shorter than its line.
+        if len(ids) == rule.precondition.dimension == int(dim) and rule.consequence in action:
+            return rule, _stats(numbers, stats_by_text)
+    except (KeyError, ValueError):
+        pass
+    return None
+
+
+def _checked_rule(
+    path: str | Path, lineno: int, line: str, resolve: Mapping[str, AtomId], action: frozenset[AtomId]
+) -> tuple[AptRule, RuleStats]:
+    """A rules record checked field by field: raises on its first fault."""
+    fields = line.split("\t")
+    if len(fields) < 7:
+        raise FormatError(f"{path}:{lineno}: malformed rule line {line!r}")
+    stats, consequence, atoms = _parse_rule_fields(path, lineno, fields)
+    try:
+        rule = AptRule(Conjunction(resolve[a] for a in atoms), resolve[consequence])
+    except KeyError as exc:
+        raise FormatError(f"{path}:{lineno}: unknown atom {exc.args[0]!r} for this thread")
+    except ValueError as exc:
+        raise FormatError(f"{path}:{lineno}: {exc}")
+    if rule.consequence not in action:
+        raise FormatError(f"{path}:{lineno}: consequence {consequence} is not an action atom")
+    return rule, stats
 
 
 # ----------------------------------------------------------- scored rules
@@ -444,65 +439,47 @@ def _parse_eps(
 def load_scored(path: str | Path) -> tuple[list[ScoredRecord], dict[str, str]]:
     """Parse a scored-rules file into renderable records (registry-free)."""
     lines, params = _read_lines(path, SCORED_MAGIC)
-    records = _scored_by_column(lines)
-    if records is None:
-        records = _scored_by_line(path, lines)  # raises, naming the first fault
+    stats_by_text: dict[str, RuleStats] = {}
+    records = [
+        _matched_scored(_SCORED_LINE.fullmatch(line), stats_by_text)
+        or _checked_scored(path, lineno, line)
+        for lineno, line in enumerate(lines, start=3)
+    ]
     return records, params
 
 
-def _scored_by_column(lines: list[str]) -> list[ScoredRecord] | None:
-    """The records of a sound file, from one match per line and one range check
-    per column; None if any check fails."""
-    stats_by_text: dict[str, tuple[float, float, float, int]] = {}
-    out: list[ScoredRecord] = []
-    try:  # ValueError: an integer longer than int() reads
-        for line in lines:
-            match = _SCORED_LINE.fullmatch(line)
-            if match is None:
-                return None
-            avg, low, frac, related, never, numbers, consequence, dim, atoms = match.groups()
-            atoms = tuple(atoms.split("\t"))
-            if not len(set(atoms)) == len(atoms) == int(dim):
-                return None
-            if numbers not in stats_by_text:
-                p, p_star, rho, support = numbers.split("\t")
-                stats_by_text[numbers] = (float(p), float(p_star), float(rho), int(support))
-            eps = (None, None, None) if avg is None else (float(avg), float(low), float(frac))
-            counts = (int(related), int(never))
-            out.append(ScoredRecord(consequence, atoms, *eps, *counts, *stats_by_text[numbers]))
+def _matched_scored(
+    match: re.Match[str] | None, stats_by_text: dict[str, RuleStats]
+) -> ScoredRecord | None:
+    """A scored record matched by _SCORED_LINE, or None if a cheap check refuses it."""
+    if match is None:
+        return None
+    avg, low, frac, related, never, numbers, consequence, dim, atoms = match.groups()
+    atoms = tuple(atoms.split("\t"))
+    eps = (None, None, None) if avg is None else (float(avg), float(low), float(frac))
+    try:  # ValueError: a statistic out of range or an integer longer than int() reads
+        stats = _stats(numbers, stats_by_text)
+        counts = int(related), int(never)
+        sound = len(set(atoms)) == len(atoms) == int(dim) and counts[1] <= counts[0]
     except ValueError:
         return None
-    if not out:
-        return out
-    _, _, avgs, mins, fracs, related, never, ps, p_stars, rhos, _ = zip(*out)
-    if not (
-        _within(avgs, -1.0, 1.0)
-        and _within(mins, -1.0, 1.0)
-        and _within(fracs, 0.0, 1.0)
-        and all(map(operator.le, never, related))
-        and _within(ps, 0.0, 1.0)
-        and _within(p_stars, 0.0, 1.0)
-        and _within(rhos, 0.0, 1.0)
-    ):
-        return None
-    return out
-
-
-def _scored_by_line(path: str | Path, lines: list[str]) -> list[ScoredRecord]:
-    """The records of a file checked line by line: raises on its first fault."""
-    out: list[ScoredRecord] = []
-    for lineno, line in enumerate(lines, start=3):
-        fields = line.split("\t")
-        if len(fields) < 12:
-            raise FormatError(f"{path}:{lineno}: malformed scored line {line!r}")
-        eps_and_counts = _parse_eps(path, lineno, fields[:5])
-        stats, consequence, atoms = _parse_rule_fields(path, lineno, fields[5:])
-        out.append(
-            ScoredRecord(
-                consequence, atoms, *eps_and_counts, stats.p, stats.p_star, stats.rho, stats.support
-            )
+    if sound and (avg is None or -1 <= eps[0] <= 1 and -1 <= eps[1] <= 1 and 0 <= eps[2] <= 1):
+        return ScoredRecord(
+            consequence, atoms, *eps, *counts, stats.p, stats.p_star, stats.rho, stats.support
         )
-    return out
+    return None
+
+
+def _checked_scored(path: str | Path, lineno: int, line: str) -> ScoredRecord:
+    """A scored record checked field by field: raises on its first fault."""
+    fields = line.split("\t")
+    if len(fields) < 12:
+        raise FormatError(f"{path}:{lineno}: malformed scored line {line!r}")
+    eps_and_counts = _parse_eps(path, lineno, fields[:5])
+    stats, consequence, atoms = _parse_rule_fields(path, lineno, fields[5:])
+    return ScoredRecord(
+        consequence, atoms, *eps_and_counts, stats.p, stats.p_star, stats.rho, stats.support
+    )
 
 
 # -------------------------------------------------------- counts, rejects

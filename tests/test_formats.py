@@ -27,6 +27,7 @@ from aptmine import (
     save_rules,
     save_scored,
     save_thread,
+    sparse_benchmark_corpus,
     t1_corpus,
 )
 from aptmine import formats
@@ -134,6 +135,13 @@ def tampered(tmp_path, t1, mutate):
         (lambda lines: lines.pop(), "period lines"),
         (lambda lines: lines.append("2"), "period lines"),
         (lambda lines: lines.__setitem__(slice(6, None), ["periods\t0"]), r"bad\.thread:7: .*one world"),
+        # Longer than int() reads.
+        (lambda lines: lines.__setitem__(7, "9" * 4301), r"bad\.thread:8: period atom ids must be integers"),
+        (lambda lines: lines.__setitem__(2, "atoms\t" + "9" * 4301), r"bad\.thread:3: .*: counts must be integers"),
+        # The params line's first field is exactly "params", and its keys are distinct.
+        (lambda lines: lines.__setitem__(1, "params_seed=0"), r"bad\.thread:2: expected a params line"),
+        (lambda lines: lines.__setitem__(1, "paramsjunk"), r"bad\.thread:2: expected a params line"),
+        (lambda lines: lines.__setitem__(1, "params\tseed=0\tseed=1"), r"bad\.thread:2: params repeat the key 'seed'"),
     ],
 )
 def test_damaged_thread_files_raise(tmp_path, t1, mutate, message):
@@ -213,7 +221,7 @@ def counts_damaged(tmp_path, t1, suffix, field, text):
     return line_damaged(tmp_path, t1, suffix, {field: text})
 
 
-@pytest.mark.parametrize("text", ["\u0661", "1_0", "+1", "-1"])
+@pytest.mark.parametrize("text", ["\u0661", "1_0", "+1", "-1", pytest.param("9" * 4301, id="9x4301")])
 @pytest.mark.parametrize("suffix, field", [("rules", 3), ("rules", 5), ("scored", 3), ("scored", 8)])
 def test_non_decimal_counts_in_rules_and_scored_raise(tmp_path, t1, suffix, field, text):
     path, registry = counts_damaged(tmp_path, t1, suffix, field, text)
@@ -235,6 +243,18 @@ def test_repeated_precondition_atom_raises(tmp_path, t1, suffix, offset):
     lines[2] = "\t".join([*fields[: offset + 5], "2", "a()", "a()"])
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(FormatError, match=rf"bad\.{suffix}:3: precondition repeats an atom"):
+        load_rules(path, registry) if suffix == "rules" else load_scored(path)
+
+
+@pytest.mark.parametrize("suffix, offset", [("rules", 0), ("scored", 5)])
+def test_dimension_counts_each_listed_atom(tmp_path, t1, suffix, offset):
+    # a() twice makes a conjunction of one atom, but the line lists two.
+    path, registry = line_damaged(tmp_path, t1, suffix, {})
+    lines = path.read_text().splitlines()
+    fields = lines[2].split("\t")
+    lines[2] = "\t".join([*fields[: offset + 5], "1", "a()", "a()"])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match=rf"bad\.{suffix}:3: rule dimension 1 != 2 atoms"):
         load_rules(path, registry) if suffix == "rules" else load_scored(path)
 
 
@@ -478,9 +498,10 @@ def loaded_or_error(path):
 @example(mutant=with_period_line("0\u3000\u0661"))
 @example(mutant=with_period_line("0 3"))
 def test_loaders_agree_with_the_per_line_checks(tmp_path_factory, mutant):
-    # The loaders decide on a file by its columns and rescan line by line
-    # only to word a fault; either way they must give what the per-line
-    # checks alone give: equal records, or a FormatError with equal text.
+    # The loaders match each line whole and send only a line the match or
+    # its cheap checks refuse through the per-line checks; either way they
+    # must give what those checks alone give: equal records, or a
+    # FormatError with equal text.
     kind, blob = mutant
     path = tmp_path_factory.mktemp("mutant") / f"mutant.{kind}"
     path.write_bytes(blob)
@@ -491,6 +512,30 @@ def test_loaders_agree_with_the_per_line_checks(tmp_path_factory, mutant):
         mock.patch.object(formats, "_PERIOD_LINE", NEVER),
     ):
         assert got == loaded_or_error(path)
+
+
+def test_loaders_agree_with_the_per_line_checks_at_real_size(tmp_path):
+    # The sparse benchmark corpus: 12,702 rules sharing 27 statistics texts.
+    thread, registry = sparse_benchmark_corpus()
+    report = pf_rule_extract(thread, registry, ExtractParams())
+    rules_path, scored_path = tmp_path / "sparse.rules", tmp_path / "sparse.scored"
+    save_rules(rules_path, report.rules, registry, {})
+    save_scored(scored_path, pf_rule_compare(thread, report.rules), registry, {})
+
+    def loaded():
+        return load_rules(rules_path, registry), load_scored(scored_path)
+
+    got = loaded()
+    with (
+        mock.patch.object(formats, "_RULE_LINE", NEVER),
+        mock.patch.object(formats, "_SCORED_LINE", NEVER),
+        mock.patch.object(formats, "_PERIOD_LINE", NEVER),
+    ):
+        assert repr(got) == repr(loaded())
+    (rules, _), (records, _) = got
+    assert tuple(rules) == report.rules
+    assert len(rules) == len(records) == 12702
+    assert len({id(stats) for _, stats in rules}) == 27  # one RuleStats per statistics text
 
 
 @pytest.mark.parametrize(
