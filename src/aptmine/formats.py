@@ -12,11 +12,10 @@ failed run leaves no partial output file.  Loaders accept numbers only as
 the writers spell them (ASCII decimal, finite), check their ranges, and
 raise every fault as a FormatError naming path:line.
 
-Rules and scored files are read in one pass: one pattern matches each
-record line whole, and each distinct statistics text becomes one RuleStats,
-range-checked once and shared by the lines that spell it.  Only a line that
-the pattern or a cheap check refuses goes through the per-line checks, which
-word its fault; a line they accept gives the record the pattern would have.
+Rules and scored files are read a line at a time: each line is split on
+tabs and its fields are checked in order.  Each distinct statistics text (p,
+p*, rho, support) is checked once and becomes one RuleStats, shared by the
+lines that spell it, and the writers render each RuleStats once.
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ from __future__ import annotations
 import math
 import os
 import re
+import sys
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
@@ -42,19 +42,8 @@ UNSCORED = "na"
 # The decimal forms repr(float) writes; float() alone would also read a '+'
 # sign, '_', whitespace, non-ASCII digits, nan and inf.
 _FLOAT = re.compile(r"-?[0-9]+(?:\.[0-9]+)?(?:e[-+][0-9]+)?")
-# The fields of a rules record, matched whole: the statistics (p, p*, rho
-# as _FLOAT spells them, then support) as one text, the consequence, the
-# dimension and the atoms, whose tabs are left in the last group.  [0-9] is
-# ASCII only, as _uint requires.
-_F = _FLOAT.pattern
-_RULE_FIELDS = rf"({_F}\t{_F}\t{_F}\t[0-9]+)\t([^\t]*)\t([0-9]+)\t(.*)"
-_RULE_LINE = re.compile(_RULE_FIELDS, re.S)
-# A scored record puts eps_avg, eps_min, eps_frac, related and never
-# separated first: na thrice exactly where related is 0.
-_SCORED_LINE = re.compile(
-    rf"(?:na\tna\tna(?=\t0+\t)|({_F})\t({_F})\t({_F})(?=\t0*[1-9]))\t([0-9]+)\t([0-9]+)\t{_RULE_FIELDS}",
-    re.S,
-)
+# Diagnostics quote at most this many characters of a refused text.
+_QUOTED = 32
 # A period line: atom ids in ASCII digits between the whitespace str.split()
 # splits on, which is what \s matches.
 _PERIOD_LINE = re.compile(r"[0-9\s]*")
@@ -106,28 +95,38 @@ def _read_lines(path: str | Path, magic: str) -> tuple[list[str], dict[str, str]
     for part in parts:
         key, sep, value = part.partition("=")
         if not sep:
-            raise FormatError(f"{path}:2: malformed params entry {part!r}")
+            raise FormatError(f"{path}:2: malformed params entry {_quoted(part)}")
         if key in params:
-            raise FormatError(f"{path}:2: params repeat the key {key!r}")
+            raise FormatError(f"{path}:2: params repeat the key {_quoted(key)}")
         params[key] = value
     return lines[2:], params
 
 
+def _quoted(text: str) -> str:
+    """repr(text), or of its first _QUOTED characters and its length when longer."""
+    if len(text) <= _QUOTED:
+        return repr(text)
+    return f"{text[:_QUOTED]!r}... ({len(text)} characters)"
+
+
 def _uint(path: str | Path, lineno: int, text: str, what: str) -> int:
     """A non-negative integer field, written in ASCII decimal digits only."""
+    form = "in ASCII digits"
     if text.isascii() and text.isdigit():
         try:
             return int(text)
         except ValueError:  # longer than int() reads
-            pass
-    raise FormatError(f"{path}:{lineno}: {what} must be integers in ASCII digits, got {text!r}")
+            form = f"of at most {sys.get_int_max_str_digits()} digits"
+    raise FormatError(f"{path}:{lineno}: {what} must be integers {form}, got {_quoted(text)}")
 
 
 def _float(path: str | Path, lineno: int, text: str, what: str) -> float:
     """A finite float field in the ASCII decimal form repr(float) writes."""
     if _FLOAT.fullmatch(text) and math.isfinite(value := float(text)):
         return value
-    raise FormatError(f"{path}:{lineno}: {what} must be finite decimal numbers, got {text!r}")
+    raise FormatError(
+        f"{path}:{lineno}: {what} must be finite decimal numbers, got {_quoted(text)}"
+    )
 
 
 def _names(registry: AtomRegistry) -> list[str]:
@@ -179,11 +178,11 @@ def load_thread(path: str | Path) -> tuple[Thread, AtomRegistry, dict[str, str]]
     for lineno, line in enumerate(lines[1 : 1 + n_atoms], start=4):
         fields = line.split("\t")
         if len(fields) < 3:
-            raise FormatError(f"{path}:{lineno}: malformed atom line {line!r}")
+            raise FormatError(f"{path}:{lineno}: malformed atom line {_quoted(line)}")
         declared, name, *rest = fields
         args, flag = rest[:-1], rest[-1]
         if flag not in ("0", "1"):
-            raise FormatError(f"{path}:{lineno}: atom flag must be 0 or 1, got {flag!r}")
+            raise FormatError(f"{path}:{lineno}: atom flag must be 0 or 1, got {_quoted(flag)}")
         try:
             atom_id = registry.intern(Predicate(name, len(args)), args)
         except (ValueError, ArityError) as exc:
@@ -192,7 +191,7 @@ def load_thread(path: str | Path) -> tuple[Thread, AtomRegistry, dict[str, str]]
             raise FormatError(f"{path}:{lineno}: repeats the atom on line {atom_id + 4}")
         if str(atom_id) != declared:
             raise FormatError(
-                f"{path}:{lineno}: atom ids must be dense and ascending, got {declared!r}"
+                f"{path}:{lineno}: atom ids must be dense and ascending, got {_quoted(declared)}"
             )
         registry.mark_env(atom_id)
         if flag == "1":
@@ -236,7 +235,8 @@ def _period_members(path: str | Path, lineno: int, line: str, n_atoms: int) -> l
 
 
 def _parse_count(path: str | Path, lineno: int, line: str) -> int:
-    return _uint(path, lineno, line.partition("\t")[2], f"malformed section header {line!r}: counts")
+    what = f"malformed section header {_quoted(line)}: counts"
+    return _uint(path, lineno, line.partition("\t")[2], what)
 
 
 # ------------------------------------------------------------------ rules
@@ -246,32 +246,49 @@ def _float_field(value: float) -> str:
     return repr(float(value))
 
 
-def _rule_fields(rule: AptRule, stats: RuleStats, names: list[str]) -> list[str]:
-    """The columns rules and scored lines share: p, p*, rho, support, consequence, dim, atoms."""
-    return [
-        *(_float_field(v) for v in (stats.p, stats.p_star, stats.rho)),
-        str(stats.support),
-        names[rule.consequence],
-        str(rule.precondition.dimension),
-        *(names[a] for a in rule.precondition.atoms),
-    ]
+def _rule_fields(
+    rule: AptRule, stats: RuleStats, names: list[str], rendered: dict[int, tuple[RuleStats, str]]
+) -> list[str]:
+    """The columns rules and scored lines share: p, p*, rho, support, consequence, dim, atoms.
+
+    rendered maps id(stats) to stats and its statistics text, for one call: by
+    identity, as a value key would take -0.0 for 0.0, and holding stats so that
+    its id is not reused.
+    """
+    entry = rendered.get(id(stats))
+    if entry is None:
+        numbers = [*map(_float_field, (stats.p, stats.p_star, stats.rho)), str(stats.support)]
+        entry = rendered[id(stats)] = stats, "\t".join(numbers)
+    atoms = rule.precondition.atoms
+    return [entry[1], names[rule.consequence], str(len(atoms)), *(names[a] for a in atoms)]
 
 
 def _parse_rule_fields(
-    path: str | Path, lineno: int, fields: list[str]
+    path: str | Path, lineno: int, fields: list[str], stats_by_text: dict[tuple[str, ...], RuleStats]
 ) -> tuple[RuleStats, str, tuple[str, ...]]:
-    """Inverse of _rule_fields: the range-checked stats, consequence text and atom texts."""
-    p, p_star, rho = [_float(path, lineno, f, "rule statistics") for f in fields[:3]]
-    supp, dim = [_uint(path, lineno, fields[i], "rule counts") for i in (3, 5)]
+    """Inverse of _rule_fields: the range-checked stats, consequence text and atom texts.
+
+    stats_by_text maps each statistics text (p, p*, rho, support) met so far to
+    its RuleStats.  A text is checked only where it is first met, so a later
+    line that spells it shares its RuleStats and skips only checks it passed.
+    """
+    key = tuple(fields[:4])
+    stats = stats_by_text.get(key)
+    if stats is None:
+        p, p_star, rho = [_float(path, lineno, f, "rule statistics") for f in fields[:3]]
+        supp = _uint(path, lineno, fields[3], "rule counts")
+    dim = _uint(path, lineno, fields[5], "rule counts")
     atoms = tuple(fields[6:])
     if dim != len(atoms):
         raise FormatError(f"{path}:{lineno}: rule dimension {dim} != {len(atoms)} atoms")
     if len(set(atoms)) != dim:
         raise FormatError(f"{path}:{lineno}: precondition repeats an atom: {' & '.join(atoms)}")
-    try:
-        return RuleStats(p, p_star, rho, supp), fields[4], atoms
-    except ValueError as exc:
-        raise FormatError(f"{path}:{lineno}: {exc}")
+    if stats is None:
+        try:
+            stats = stats_by_text[key] = RuleStats(p, p_star, rho, supp)
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: {exc}")
+    return stats, fields[4], atoms
 
 
 def format_rules(
@@ -280,8 +297,9 @@ def format_rules(
     params: Mapping[str, str],
 ) -> str:
     names = _names(registry)
+    rendered: dict[int, tuple[RuleStats, str]] = {}
     lines = [RULES_MAGIC, _params_line(params)]
-    lines.extend("\t".join(_rule_fields(rule, stats, names)) for rule, stats in rules)
+    lines.extend("\t".join(_rule_fields(rule, stats, names, rendered)) for rule, stats in rules)
     return "\n".join(lines) + "\n"
 
 
@@ -305,66 +323,27 @@ def load_rules(
     lines, params = _read_lines(path, RULES_MAGIC)
     resolve = {name: a for a, name in enumerate(_names(registry))}
     action = registry.action_set
-    stats_by_text: dict[str, RuleStats] = {}
+    stats_by_text: dict[tuple[str, ...], RuleStats] = {}
     first_line: dict[AptRule, int] = {}
     out: list[tuple[AptRule, RuleStats]] = []
     for lineno, line in enumerate(lines, start=3):
-        rule, stats = _matched_rule(
-            _RULE_LINE.fullmatch(line), resolve, action, stats_by_text
-        ) or _checked_rule(path, lineno, line, resolve, action)
+        fields = line.split("\t")
+        if len(fields) < 7:
+            raise FormatError(f"{path}:{lineno}: malformed rule line {_quoted(line)}")
+        stats, consequence, atoms = _parse_rule_fields(path, lineno, fields, stats_by_text)
+        try:
+            rule = AptRule(Conjunction([resolve[a] for a in atoms]), resolve[consequence])
+        except KeyError as exc:
+            unknown = _quoted(exc.args[0])
+            raise FormatError(f"{path}:{lineno}: unknown atom {unknown} for this thread")
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: {exc}")
+        if rule.consequence not in action:
+            raise FormatError(f"{path}:{lineno}: consequence {consequence} is not an action atom")
         if first_line.setdefault(rule, lineno) != lineno:
             raise FormatError(f"{path}:{lineno}: duplicate rule, first on line {first_line[rule]}")
         out.append((rule, stats))
     return out, params
-
-
-def _stats(numbers: str, stats_by_text: dict[str, RuleStats]) -> RuleStats:
-    """A matched statistics text's RuleStats, built once per text; ValueError if refused."""
-    stats = stats_by_text.get(numbers)
-    if stats is None:
-        p, p_star, rho, support = numbers.split("\t")
-        stats = stats_by_text[numbers] = RuleStats(float(p), float(p_star), float(rho), int(support))
-    return stats
-
-
-def _matched_rule(
-    match: re.Match[str] | None,
-    resolve: Mapping[str, AtomId],
-    action: frozenset[AtomId],
-    stats_by_text: dict[str, RuleStats],
-) -> tuple[AptRule, RuleStats] | None:
-    """A rules record matched by _RULE_LINE, or None if a cheap check refuses it."""
-    if match is None:
-        return None
-    numbers, consequence, dim, atoms = match.groups()
-    try:  # KeyError: an unknown atom; ValueError: a bad rule or statistic
-        ids = [resolve[a] for a in atoms.split("\t")]
-        rule = AptRule(Conjunction(ids), resolve[consequence])
-        # A repeated atom makes the conjunction shorter than its line.
-        if len(ids) == rule.precondition.dimension == int(dim) and rule.consequence in action:
-            return rule, _stats(numbers, stats_by_text)
-    except (KeyError, ValueError):
-        pass
-    return None
-
-
-def _checked_rule(
-    path: str | Path, lineno: int, line: str, resolve: Mapping[str, AtomId], action: frozenset[AtomId]
-) -> tuple[AptRule, RuleStats]:
-    """A rules record checked field by field: raises on its first fault."""
-    fields = line.split("\t")
-    if len(fields) < 7:
-        raise FormatError(f"{path}:{lineno}: malformed rule line {line!r}")
-    stats, consequence, atoms = _parse_rule_fields(path, lineno, fields)
-    try:
-        rule = AptRule(Conjunction(resolve[a] for a in atoms), resolve[consequence])
-    except KeyError as exc:
-        raise FormatError(f"{path}:{lineno}: unknown atom {exc.args[0]!r} for this thread")
-    except ValueError as exc:
-        raise FormatError(f"{path}:{lineno}: {exc}")
-    if rule.consequence not in action:
-        raise FormatError(f"{path}:{lineno}: consequence {consequence} is not an action atom")
-    return rule, stats
 
 
 # ----------------------------------------------------------- scored rules
@@ -392,6 +371,7 @@ def format_scored(
     params: Mapping[str, str],
 ) -> str:
     names = _names(registry)
+    rendered: dict[int, tuple[RuleStats, str]] = {}
     lines = [SCORED_MAGIC, _params_line(params)]
     for g in sorted(ranked):
         for sr in ranked[g]:
@@ -401,7 +381,8 @@ def format_scored(
                 else tuple(_float_field(v) for v in (sr.eps_avg, sr.eps_min, sr.eps_frac))
             )
             counts = (str(sr.related_count), str(sr.never_separated_count))
-            lines.append("\t".join([*eps, *counts, *_rule_fields(sr.rule, sr.stats, names)]))
+            rule_fields = _rule_fields(sr.rule, sr.stats, names, rendered)
+            lines.append("\t".join([*eps, *counts, *rule_fields]))
     return "\n".join(lines) + "\n"
 
 
@@ -439,47 +420,17 @@ def _parse_eps(
 def load_scored(path: str | Path) -> tuple[list[ScoredRecord], dict[str, str]]:
     """Parse a scored-rules file into renderable records (registry-free)."""
     lines, params = _read_lines(path, SCORED_MAGIC)
-    stats_by_text: dict[str, RuleStats] = {}
-    records = [
-        _matched_scored(_SCORED_LINE.fullmatch(line), stats_by_text)
-        or _checked_scored(path, lineno, line)
-        for lineno, line in enumerate(lines, start=3)
-    ]
+    stats_by_text: dict[tuple[str, ...], RuleStats] = {}
+    records: list[ScoredRecord] = []
+    for lineno, line in enumerate(lines, start=3):
+        fields = line.split("\t")
+        if len(fields) < 12:
+            raise FormatError(f"{path}:{lineno}: malformed scored line {_quoted(line)}")
+        eps_and_counts = _parse_eps(path, lineno, fields[:5])
+        stats, consequence, atoms = _parse_rule_fields(path, lineno, fields[5:], stats_by_text)
+        numbers = stats.p, stats.p_star, stats.rho, stats.support
+        records.append(ScoredRecord(consequence, atoms, *eps_and_counts, *numbers))
     return records, params
-
-
-def _matched_scored(
-    match: re.Match[str] | None, stats_by_text: dict[str, RuleStats]
-) -> ScoredRecord | None:
-    """A scored record matched by _SCORED_LINE, or None if a cheap check refuses it."""
-    if match is None:
-        return None
-    avg, low, frac, related, never, numbers, consequence, dim, atoms = match.groups()
-    atoms = tuple(atoms.split("\t"))
-    eps = (None, None, None) if avg is None else (float(avg), float(low), float(frac))
-    try:  # ValueError: a statistic out of range or an integer longer than int() reads
-        stats = _stats(numbers, stats_by_text)
-        counts = int(related), int(never)
-        sound = len(set(atoms)) == len(atoms) == int(dim) and counts[1] <= counts[0]
-    except ValueError:
-        return None
-    if sound and (avg is None or -1 <= eps[0] <= 1 and -1 <= eps[1] <= 1 and 0 <= eps[2] <= 1):
-        return ScoredRecord(
-            consequence, atoms, *eps, *counts, stats.p, stats.p_star, stats.rho, stats.support
-        )
-    return None
-
-
-def _checked_scored(path: str | Path, lineno: int, line: str) -> ScoredRecord:
-    """A scored record checked field by field: raises on its first fault."""
-    fields = line.split("\t")
-    if len(fields) < 12:
-        raise FormatError(f"{path}:{lineno}: malformed scored line {line!r}")
-    eps_and_counts = _parse_eps(path, lineno, fields[:5])
-    stats, consequence, atoms = _parse_rule_fields(path, lineno, fields[5:])
-    return ScoredRecord(
-        consequence, atoms, *eps_and_counts, stats.p, stats.p_star, stats.rho, stats.support
-    )
 
 
 # -------------------------------------------------------- counts, rejects

@@ -384,6 +384,28 @@ def test_compare_rejects_repeated_and_non_action_rules(t1_thread, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "field, text",
+    [(3, "9" * 4301), (0, "1" * 5000), (None, "x" * 100_000)],
+    ids=["support-4301-digits", "p-5000-digits", "line-100000-chars"],
+)
+def test_compare_diagnostics_quote_long_input_briefly(t1_thread, tmp_path, field, text):
+    rules_path = tmp_path / "t1.rules"
+    assert run("mine", t1_thread, "--out", rules_path, "--max-dim", "2", "--supp-lb", "1").returncode == 0
+    lines = rules_path.read_text().splitlines()
+    fields = lines[2].split("\t")
+    if field is None:
+        lines[2] = text
+    else:
+        fields[field] = text
+        lines[2] = "\t".join(fields)
+    rules_path.write_text("\n".join(lines) + "\n")
+    result = run("compare", rules_path, t1_thread, "--out", tmp_path / "never.scored")
+    assert result.returncode == 1
+    assert result.stderr.startswith(f"error: {rules_path}:3: "), result.stderr[:300]
+    assert result.stderr.count("\n") == 1 and len(result.stderr.encode()) < 300, result.stderr[:300]
+
+
+@pytest.mark.parametrize(
     "args, message",
     [
         (["mine", "T", "--out", "T"], "--out T is the same file as thread T"),

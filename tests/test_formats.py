@@ -298,12 +298,62 @@ def load_artifact(path):
     return load_rules(path, T1_REGISTRY) if kind == "rules" else load_scored(path)
 
 
+def with_fields(kind, edits):
+    """A t1 rules or scored artifact with fields replaced: {(line index, field): text}."""
+    lines = ARTIFACTS[kind].decode().split("\n")
+    for (i, field), text in edits.items():
+        fields = lines[i].split("\t")
+        fields[field] = text
+        lines[i] = "\t".join(fields)
+    return kind, "\n".join(lines).encode()
+
+
+def test_rules_sharing_p_p_star_and_rho_keep_their_own_support(tmp_path):
+    path = tmp_path / "shared.rules"
+    path.write_bytes(with_fields("rules", {(3, 0): "0.5"})[1])  # line 4 takes line 3's p
+    rules, _ = load_rules(path, T1_REGISTRY)
+    assert [stats.support for _, stats in rules] == [2, 1, 3]
+
+
+@pytest.mark.parametrize(
+    "kind, edits, message",
+    [
+        ("rules", {(3, 0): "0.5", (3, 3): "2", (3, 5): "1"}, "rule dimension 1 != 2 atoms"),
+        ("rules", {(3, 0): "0.5", (3, 3): "2", (3, 6): "z()"}, "unknown atom 'z\\(\\)'"),
+        (
+            "scored",
+            {(3, 5): "0.6666666666666666", (3, 6): "0.0", (3, 8): "3", (3, 10): "1"},
+            "rule dimension 1 != 2 atoms",
+        ),
+    ],
+)
+def test_a_repeated_statistics_text_still_checks_its_own_line(tmp_path, kind, edits, message):
+    # Line 4 spells line 3's statistics, so it shares line 3's RuleStats.
+    path = tmp_path / f"repeat.{kind}"
+    path.write_bytes(with_fields(kind, edits)[1])
+    with pytest.raises(FormatError, match=rf"repeat\.{kind}:4: {message}"):
+        load_artifact(path)
+
+
+def test_scoring_keeps_each_line_s_spelling_of_a_statistic(tmp_path):
+    # -0.0 == 0.0, but each rule's p* keeps the spelling its rules line gave it.
+    edits = {(2, 1): "-0.0", (3, 0): "0.5", (3, 1): "0.0", (3, 3): "2"}
+    path = tmp_path / "zeros.rules"
+    path.write_bytes(with_fields("rules", edits)[1])
+    rules, _ = load_rules(path, T1_REGISTRY)
+    thread, registry = t1_corpus()
+    text = format_scored(pf_rule_compare(thread, rules), registry, {})
+    p_star = {tuple(f[11:]): f[6] for f in (line.split("\t") for line in text.splitlines()[2:])}
+    assert p_star == {("a()",): "-0.0", ("a()", "b()"): "0.0", ("b()",): "0.0"}
+
+
 @pytest.mark.parametrize(
     "text",
     ["nan", "inf", "-inf", "1e+999", "1_0.5", "\u0661.\u0665", "0.\u0665", "+0.5", " 0.5", "0.5 ", ".5", ""],
 )
 @pytest.mark.parametrize(
-    "suffix, field", [("rules", 0), ("rules", 2), ("scored", 0), ("scored", 2), ("scored", 5)]
+    "suffix, field",
+    [("rules", 0), ("rules", 2), ("scored", 0), ("scored", 2), ("scored", 5), ("scored", 7)],
 )
 def test_non_decimal_or_non_finite_floats_raise(tmp_path, t1, suffix, field, text):
     path, _ = counts_damaged(tmp_path, t1, suffix, field, text)
@@ -324,6 +374,7 @@ def test_non_decimal_or_non_finite_floats_raise(tmp_path, t1, suffix, field, tex
         ({3: "0", 4: "0"}, "a rule related to nothing must be unscored"),
         ({5: "1.5"}, r"p must lie in \[0, 1\]"),
         ({7: "1.5"}, r"rho must lie in \[0, 1\]"),
+        ({6: "2.0"}, r"p_star must lie in \[0, 1\]"),
     ],
 )
 def test_scored_numbers_out_of_range_raise_with_line(tmp_path, t1, edits, message):
@@ -425,10 +476,9 @@ def test_mutated_artifacts_load_in_range_or_raise_format_error(tmp_path_factory,
 
 
 @st.composite
-def mutated_artifacts(draw):
-    """A t1 artifact's kind and its bytes after the mutations of the property above."""
-    kind = draw(st.sampled_from(sorted(ARTIFACTS)))
-    blob = ARTIFACTS[kind]
+def mutated_threads(draw):
+    """The t1 thread's kind and bytes after the mutations of the property above."""
+    blob = ARTIFACTS["thread"]
     data = SimpleNamespace(draw=draw)
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
         if draw(st.booleans()):
@@ -437,17 +487,7 @@ def mutated_artifacts(draw):
         i = draw(st.integers(min_value=0, max_value=len(blob)))
         j = draw(st.integers(min_value=i, max_value=min(len(blob), i + 6)))
         blob = blob[:i] + draw(INSERTS) + blob[j:]
-    return kind, blob
-
-
-def with_fields(kind, edits):
-    """A t1 rules or scored artifact with fields replaced: {(line index, field): text}."""
-    lines = ARTIFACTS[kind].decode().split("\n")
-    for (i, field), text in edits.items():
-        fields = lines[i].split("\t")
-        fields[field] = text
-        lines[i] = "\t".join(fields)
-    return kind, "\n".join(lines).encode()
+    return "thread", blob
 
 
 def with_period_line(text):
@@ -457,61 +497,55 @@ def with_period_line(text):
     return "thread", "\n".join(lines).encode()
 
 
-# Never matches: with it in place of a record or period pattern, every line
+# Never matches: with it in place of the period pattern, every period line
 # goes through the per-line checks that word the diagnostics.
 NEVER = re.compile(r"(?!)")
 
 
 def loaded_or_error(path):
-    """What loading gives, comparable across loads: repr() tells -0.0 from 0.0."""
+    """What loading gives, comparable across loads."""
     try:
-        loaded = load_artifact(path)
+        thread, registry, params = load_thread(path)
     except FormatError as exc:
         return f"FormatError: {exc}"
-    if path.suffix == ".thread":
-        thread, registry, params = loaded
-        worlds = [sorted(thread.world(t)) for t in range(1, thread.t_max + 1)]
-        return worlds, registry_snapshot(registry), params
-    return repr(loaded)
+    worlds = [sorted(thread.world(t)) for t in range(1, thread.t_max + 1)]
+    return worlds, registry_snapshot(registry), params
 
 
 @settings(max_examples=300, deadline=None)
-@given(mutant=mutated_artifacts())
-# Two faults in one file: the first line still names the diagnostic.
-@example(mutant=with_fields("rules", {(2, 3): "1_0", (3, 0): "1.5"}))
-@example(mutant=with_fields("rules", {(2, 0): "1.5", (3, 3): "1_0"}))
-@example(mutant=with_fields("scored", {(2, 8): "1_0", (3, 5): "1.5"}))
-@example(mutant=with_fields("scored", {(2, 5): "1.5", (3, 8): "1_0"}))
-# Faults only the column checks see, one per checked scored column.
-@example(mutant=with_fields("scored", {(3, 0): "-1.5"}))
-@example(mutant=with_fields("scored", {(3, 1): "1.5"}))
-@example(mutant=with_fields("scored", {(4, 2): "1.0000000000000002"}))
-@example(mutant=with_fields("scored", {(3, 4): "7"}))
-@example(mutant=with_fields("scored", {(3, 5): "1.5"}))
-@example(mutant=with_fields("scored", {(3, 6): "2.0"}))
-@example(mutant=with_fields("scored", {(4, 7): "1e+999"}))
-@example(mutant=with_fields("scored", {(3, 0): "na", (3, 1): "na", (3, 2): "na"}))
-@example(mutant=with_fields("scored", {(3, 3): "0", (3, 4): "0"}))
+@given(mutant=mutated_threads())
 # str.split() splits on Unicode whitespace; a repeated id is one member.
 @example(mutant=with_period_line("0\u30001"))
 @example(mutant=with_period_line("1 1"))
 @example(mutant=with_period_line("0\u3000\u0661"))
 @example(mutant=with_period_line("0 3"))
 def test_loaders_agree_with_the_per_line_checks(tmp_path_factory, mutant):
-    # The loaders match each line whole and send only a line the match or
-    # its cheap checks refuse through the per-line checks; either way they
-    # must give what those checks alone give: equal records, or a
-    # FormatError with equal text.
+    # load_thread matches each period line with one pattern and sends only a
+    # line the match or its cheap checks refuse through the per-line checks;
+    # either way it must give what those checks alone give: equal threads, or
+    # a FormatError with equal text.
     kind, blob = mutant
     path = tmp_path_factory.mktemp("mutant") / f"mutant.{kind}"
     path.write_bytes(blob)
     got = loaded_or_error(path)
-    with (
-        mock.patch.object(formats, "_RULE_LINE", NEVER),
-        mock.patch.object(formats, "_SCORED_LINE", NEVER),
-        mock.patch.object(formats, "_PERIOD_LINE", NEVER),
-    ):
+    with mock.patch.object(formats, "_PERIOD_LINE", NEVER):
         assert got == loaded_or_error(path)
+
+
+@pytest.mark.parametrize(
+    "kind, edits, message",
+    [
+        ("rules", {(2, 3): "1_0", (3, 0): "1.5"}, "rule counts must be integers"),
+        ("rules", {(2, 0): "1.5", (3, 3): "1_0"}, r"p must lie in \[0, 1\]"),
+        ("scored", {(2, 8): "1_0", (3, 5): "1.5"}, "rule counts must be integers"),
+        ("scored", {(2, 5): "1.5", (3, 8): "1_0"}, r"p must lie in \[0, 1\]"),
+    ],
+)
+def test_the_first_faulty_line_names_the_diagnostic(tmp_path, kind, edits, message):
+    path = tmp_path / f"two.{kind}"
+    path.write_bytes(with_fields(kind, edits)[1])
+    with pytest.raises(FormatError, match=rf"two\.{kind}:3: {message}"):
+        load_artifact(path)
 
 
 def test_loaders_agree_with_the_per_line_checks_at_real_size(tmp_path):
@@ -521,18 +555,8 @@ def test_loaders_agree_with_the_per_line_checks_at_real_size(tmp_path):
     rules_path, scored_path = tmp_path / "sparse.rules", tmp_path / "sparse.scored"
     save_rules(rules_path, report.rules, registry, {})
     save_scored(scored_path, pf_rule_compare(thread, report.rules), registry, {})
-
-    def loaded():
-        return load_rules(rules_path, registry), load_scored(scored_path)
-
-    got = loaded()
-    with (
-        mock.patch.object(formats, "_RULE_LINE", NEVER),
-        mock.patch.object(formats, "_SCORED_LINE", NEVER),
-        mock.patch.object(formats, "_PERIOD_LINE", NEVER),
-    ):
-        assert repr(got) == repr(loaded())
-    (rules, _), (records, _) = got
+    rules, _ = load_rules(rules_path, registry)
+    records, _ = load_scored(scored_path)
     assert tuple(rules) == report.rules
     assert len(rules) == len(records) == 12702
     assert len({id(stats) for _, stats in rules}) == 27  # one RuleStats per statistics text
