@@ -21,10 +21,16 @@ for each horizon time, the classes set at it.  A class's
 co-occurrence counts come from expanding each of its set bits into that
 time's list and counting the classes met; its co-fired counts are the
 expansions at the counter's qualifying times (whose successor world holds
-the consequence).  With c distinct masks, c_t of them set at time t, a
-group costs sum_t c_t**2 expansions plus c**2 count cells, counted
-_BLOCK_ROWS classes at a time, and it holds the set bits plus one block of
-counts: no n x T matrix and no n**2 * T products.
+the consequence).  Each expansion is one key, its cell with an at-goal
+flag in the low bit, so one sort of a block's keys lines each cell's
+expansions up as a run: its length is the co-occur count and its flags
+sum to the co-fired count.  With c distinct masks, c_t of them set at
+time t, a group costs sum_t c_t**2 expansions, sorted _BLOCK_ROWS classes
+at a time, and it holds the set bits plus one block's expansions: no
+n x T matrix, no n**2 * T products and no c-wide count rows.  The sort
+costs O(E log E) for a block's E expansions, where counting into dense
+rows would cost O(E + _BLOCK_ROWS * c): it pays where a block has far
+fewer expansions than cells, as in a large group of sparse masks.
 
 The counts are exact int64 integers, at most t_max and so far below 2**53;
 numpy divides two of them as the same correctly rounded float64 division
@@ -52,7 +58,7 @@ from .stats import AptRule, ConsequenceCounter, RuleStats, evaluate_rule, rule_s
 if TYPE_CHECKING:
     import numpy as np
 
-_BLOCK_ROWS = 32  # mask classes whose pairwise counts are held at once
+_BLOCK_ROWS = 32  # mask classes whose expansions are sorted at once
 
 
 class UnrelatedRulesError(AptmineError):
@@ -175,13 +181,20 @@ def _time_index(masks: list[int], goal: int) -> tuple[np.ndarray, ...]:
     return ptr, rows, times, at_goal, upto, by_time
 
 
-def _co_counts(index: tuple[np.ndarray, ...], start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """int64 co-occur and co-fired counts of rows start..stop-1 against every row.
+def _co_counts(
+    index: tuple[np.ndarray, ...], start: int, stop: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The related cells of rows start..stop-1, with their co-fired and co-occur counts.
 
-    With ``index = _time_index(masks, goal)`` and ``bits`` the masks' 0/1
-    matrix, they are ``bits[start:stop] @ bits.T`` and the same product
-    over goal's times only.  Every set bit of the block expands once into
-    the rows listed at its time, adding one to cell (its row, that row).
+    With ``index = _time_index(masks, goal)``, ``bits`` the masks' 0/1
+    matrix, ``occur = bits[start:stop] @ bits.T`` and ``fired`` the same
+    product over goal's times only, ``cells`` is ``flatnonzero(fired)``,
+    ascending, and the counts are ``fired`` and ``occur`` at those cells.
+    Every set bit of the block expands once into the rows listed at its
+    time, giving cell (its row, that row) one key: the cell shifted left,
+    with the bit's at-goal flag below it.  Sorted, a cell's keys are one
+    run, as long as its co-occur count, whose low bits sum to its co-fired
+    count.
     """
     import numpy as np
 
@@ -193,10 +206,14 @@ def _co_counts(index: tuple[np.ndarray, ...], start: int, stop: int) -> tuple[np
     # Expansion k of a bit whose expansions begin at s reads by_time[first + k - s].
     keys = by_time[np.arange(lens.sum()) + np.repeat(first - (np.cumsum(lens) - lens), lens)]
     keys += np.repeat((rows[block] - start) * n, lens)
-    size = (stop - start) * n
-    co_occur = np.bincount(keys, minlength=size).reshape(stop - start, n)
-    co_fired = np.bincount(keys[np.repeat(at_goal[block], lens)], minlength=size)
-    return co_occur, co_fired.reshape(stop - start, n)
+    keys <<= 1
+    keys |= np.repeat(at_goal[block], lens)
+    keys.sort()
+    runs = np.flatnonzero(np.diff(keys >> 1, prepend=-1))
+    fire = np.add.reduceat(keys & 1, runs)
+    occ = np.diff(runs, append=keys.size)
+    related = fire > 0
+    return (keys[runs] >> 1)[related], fire[related], occ[related]
 
 
 def _score_group(
@@ -222,15 +239,12 @@ def _score_group(
     for start in range(0, c, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, c)
         # |{t: c_i, c_j at t}| and |{t: c_i, c_j at t, g at t+1}|
-        co_occur, co_fired = _co_counts(index, start, stop)
-        cells = np.flatnonzero(co_fired > 0)
+        cells, fire, occ = _co_counts(index, start, stop)
         r, j = np.divmod(cells, c)
         # A member meets each member of class j once, itself excepted.
         weight = size[j] - (j == r + start)
         keep = weight > 0
-        cells, r, j, weight = cells[keep], r[keep], j[keep], weight[keep]
-        fire = co_fired.take(cells)
-        occ = co_occur.take(cells)
+        r, j, weight, fire, occ = r[keep], j[keep], weight[keep], fire[keep], occ[keep]
         only_second = occur[j] - occ
         sep = only_second > 0
         p_notfirst = np.where(sep, (hits[j] - fire) / np.where(sep, only_second, 1), 0.0)

@@ -8,7 +8,8 @@ and holds at supp_lb times or more.  One depth-first walk over the sorted
 pool finds them, carrying each prefix's mask down, and each is evaluated
 once, from its mask, against the prior and minimum-probability gates.  g's
 counter is built once and gives p and p* straight from the mask; AptRule
-and RuleStats are built only for the rules that pass.
+and RuleStats are built only for the rules that pass, and g's rules with
+equal support, fired and hit counts share one RuleStats.
 
 Nothing that could pass the gates is lost.  The walk cuts a set, and with
 it every extension, on two grounds, and adding an atom only clears mask
@@ -186,13 +187,21 @@ def pf_rule_extract(
     explored = 0
     for g, counter in counters.items():
         rho = prior(thread, g)
+        # Rules of g with equal support, fired and hit counts have equal stats
+        # and share one RuleStats, so writing the rules renders it once.
+        shared: dict[tuple[int, int, int], RuleStats] = {}
         for atoms, mask in candidate_preconditions(thread, g, params, frequent):
             explored += 1
             # p is a number: each mask meets a qualifying t <= t_max - 1.  The
             # walk keeps no mask below supp_lb, so the support gate holds.
             if (p := counter.p(mask)) > rho and p >= params.min_prob:
                 rule = AptRule(Conjunction(atoms), g)
-                rules.append((rule, RuleStats(p, counter.p_star(mask), rho, mask.bit_count())))
+                support, hits = mask.bit_count(), (mask & counter.qualifying).bit_count()
+                counts = support, (mask & counter.horizon).bit_count(), hits
+                stats = shared.get(counts)
+                if stats is None:
+                    stats = shared[counts] = RuleStats(p, counter.p_star(mask), rho, support)
+                rules.append((rule, stats))
 
     return ExtractionReport(
         rules=tuple(rules),

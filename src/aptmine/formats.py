@@ -102,11 +102,16 @@ def _read_lines(path: str | Path, magic: str) -> tuple[list[str], dict[str, str]
     return lines[2:], params
 
 
-def _quoted(text: str) -> str:
-    """repr(text), or of its first _QUOTED characters and its length when longer."""
+def _clipped(text: str, show=str) -> str:
+    """show(text), or show of its first _QUOTED characters and its length when longer."""
     if len(text) <= _QUOTED:
-        return repr(text)
-    return f"{text[:_QUOTED]!r}... ({len(text)} characters)"
+        return show(text)
+    return f"{show(text[:_QUOTED])}... ({len(text)} characters)"
+
+
+def _quoted(text: str) -> str:
+    """repr(text), clipped as _clipped clips."""
+    return _clipped(text, repr)
 
 
 def _uint(path: str | Path, lineno: int, text: str, what: str) -> int:
@@ -282,7 +287,8 @@ def _parse_rule_fields(
     if dim != len(atoms):
         raise FormatError(f"{path}:{lineno}: rule dimension {dim} != {len(atoms)} atoms")
     if len(set(atoms)) != dim:
-        raise FormatError(f"{path}:{lineno}: precondition repeats an atom: {' & '.join(atoms)}")
+        joined = _clipped(" & ".join(atoms))
+        raise FormatError(f"{path}:{lineno}: precondition repeats an atom: {joined}")
     if stats is None:
         try:
             stats = stats_by_text[key] = RuleStats(p, p_star, rho, supp)

@@ -264,6 +264,8 @@ def _row(width, *times):
 @example(_bits([[0]]), 0b1)                                # n = 1, width 1, empty
 @example(_bits([[1], [0], [1]]), 0b1)                      # width 1
 @example(_bits([_row(130, 1, 65, 130), _row(130, 65, 130), _row(130, 1)]), 1 << 64 | 1 << 129)  # past 64 bits
+@example(_bits([[1, 1, 0], [0, 1, 0], [1, 1, 0]]), 0b011)  # every set bit at a goal time
+@example(_bits([[1, 1, 0], [0, 1, 0], [1, 1, 0]]), 0b100)  # no set bit at a goal time
 def test_co_counts_equal_the_matrix_product(bits, goal):
     n, width = bits.shape
     goal &= (1 << width) - 1
@@ -275,10 +277,14 @@ def test_co_counts_equal_the_matrix_product(bits, goal):
     want_fired = (wide * goal_cols) @ wide.T
     for start in range(n):
         for stop in range(start + 1, n + 1):
-            co_occur, co_fired = causality._co_counts(index, start, stop)
-            assert co_occur.dtype == co_fired.dtype == np.int64
-            assert np.array_equal(co_occur, want_occur[start:stop])
-            assert np.array_equal(co_fired, want_fired[start:stop])
+            cells, fire, occ = causality._co_counts(index, start, stop)
+            assert cells.dtype == fire.dtype == occ.dtype == np.int64
+            # The related cells, ascending, with their counts read off both products.
+            assert np.array_equal(cells, np.flatnonzero(want_fired[start:stop]))
+            assert np.array_equal(fire, want_fired[start:stop].take(cells))
+            assert np.array_equal(occ, want_occur[start:stop].take(cells))
+            if not want_fired[start:stop].any():
+                assert cells.size == fire.size == occ.size == 0
 
 
 @pytest.mark.parametrize("block_rows", [1, 2])

@@ -385,8 +385,9 @@ def test_compare_rejects_repeated_and_non_action_rules(t1_thread, tmp_path):
 
 @pytest.mark.parametrize(
     "field, text",
-    [(3, "9" * 4301), (0, "1" * 5000), (None, "x" * 100_000)],
-    ids=["support-4301-digits", "p-5000-digits", "line-100000-chars"],
+    [(3, "9" * 4301), (0, "1" * 5000), (None, "x" * 100_000),
+     (None, "\t".join(["0.5", "0.5", "0.5", "3", "g", "2", "a" * 100_000, "a" * 100_000]))],
+    ids=["support-4301-digits", "p-5000-digits", "line-100000-chars", "repeated-atom-100000-chars"],
 )
 def test_compare_diagnostics_quote_long_input_briefly(t1_thread, tmp_path, field, text):
     rules_path = tmp_path / "t1.rules"

@@ -139,6 +139,14 @@ def test_sparse_benchmark_counters_are_pinned():
     assert len(report.rules) == 12_702
 
 
+def test_rules_of_a_consequence_with_equal_statistics_share_one_stats_object():
+    report = pf_rule_extract(*sparse_benchmark_corpus(), ExtractParams())
+    first: dict[tuple[int, RuleStats], RuleStats] = {}
+    for rule, stats in report.rules:
+        assert first.setdefault((rule.consequence, stats), stats) is stats
+    assert len(first) < len(report.rules)
+
+
 def test_candidates_for_absent_consequence(t1):
     thread, registry, a, b, g = t1
     with pytest.raises(EmptyConsequenceError):

@@ -246,6 +246,21 @@ def test_repeated_precondition_atom_raises(tmp_path, t1, suffix, offset):
         load_rules(path, registry) if suffix == "rules" else load_scored(path)
 
 
+@pytest.mark.parametrize(
+    "atom, named",
+    [("a" * 14, "a" * 14 + " & " + "a" * 14), ("a" * 15, "a" * 15 + " & " + "a" * 14 + "... (33 characters)")],
+    ids=["31-characters-whole", "33-characters-clipped"],
+)
+def test_a_repeated_atom_is_named_whole_up_to_32_characters(tmp_path, t1, atom, named):
+    path, registry = line_damaged(tmp_path, t1, "rules", {})
+    lines = path.read_text().splitlines()
+    lines[2] = "\t".join([*lines[2].split("\t")[:5], "2", atom, atom])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError) as raised:
+        load_rules(path, registry)
+    assert str(raised.value) == f"{path}:3: precondition repeats an atom: {named}"
+
+
 @pytest.mark.parametrize("suffix, offset", [("rules", 0), ("scored", 5)])
 def test_dimension_counts_each_listed_atom(tmp_path, t1, suffix, offset):
     # a() twice makes a conjunction of one atom, but the line lists two.
