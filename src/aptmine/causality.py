@@ -40,6 +40,8 @@ eps_avg is summed, by math.fsum over the deltas each repeated by its
 weight.  fsum rounds the exact sum once, whatever the order, so it equals
 the scalar path's fsum over the rule's deltas one pair at a time; eps_min
 and the eps_frac and never-separated counts do not depend on order either.
+Nor does the ranking, whose key is total within a group, so a group's
+members are scored in the order given.
 So the batched path is bit-identical to the scalar one, which remains the
 readable reference and keeps its own aggregator, _finish, so the two
 aggregations check each other.
@@ -284,8 +286,7 @@ def pf_rule_compare(
 
     ranked: dict[AtomId, list[ScoredRule]] = {}
     for g in sorted(groups):
-        members = sorted(groups[g], key=lambda pair: rule_sort_key(pair[0]))
-        scored = sorted(_score_group(thread, g, members), key=_rank_key)
+        scored = sorted(_score_group(thread, g, groups[g]), key=_rank_key)
         if k is not None:
             scored = [sr for sr in scored if not sr.is_unscored][:k]
         ranked[g] = scored

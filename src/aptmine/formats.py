@@ -15,7 +15,10 @@ raise every fault as a FormatError naming path:line.
 Rules and scored files are read a line at a time: each line is split on
 tabs and its fields are checked in order.  Each distinct statistics text (p,
 p*, rho, support) is checked once and becomes one RuleStats, shared by the
-lines that spell it, and the writers render each RuleStats once.
+lines that spell it, and the writers render each RuleStats once.  Thread
+period lines are read the same way: each is split on whitespace, and each
+distinct atom id text is checked once, on the first line that spells it,
+and becomes one int, shared by the worlds that list it.
 """
 
 from __future__ import annotations
@@ -44,9 +47,6 @@ UNSCORED = "na"
 _FLOAT = re.compile(r"-?[0-9]+(?:\.[0-9]+)?(?:e[-+][0-9]+)?")
 # Diagnostics quote at most this many characters of a refused text.
 _QUOTED = 32
-# A period line: atom ids in ASCII digits between the whitespace str.split()
-# splits on, which is what \s matches.
-_PERIOD_LINE = re.compile(r"[0-9\s]*")
 
 
 def write_atomic(path: str | Path, text: str) -> None:
@@ -179,7 +179,6 @@ def load_thread(path: str | Path) -> tuple[Thread, AtomRegistry, dict[str, str]]
     if len(lines) < 1 + n_atoms + 1:
         raise FormatError(f"{path}:3: truncated atoms section")
     registry = AtomRegistry()
-    action_ids: list[int] = []
     for lineno, line in enumerate(lines[1 : 1 + n_atoms], start=4):
         fields = line.split("\t")
         if len(fields) < 3:
@@ -200,9 +199,7 @@ def load_thread(path: str | Path) -> tuple[Thread, AtomRegistry, dict[str, str]]
             )
         registry.mark_env(atom_id)
         if flag == "1":
-            action_ids.append(atom_id)
-    for atom_id in action_ids:
-        registry.mark_action(atom_id)
+            registry.mark_action(atom_id)
     period_lineno = 4 + n_atoms
     period_line = lines[1 + n_atoms]
     if not period_line.startswith("periods\t"):
@@ -212,31 +209,23 @@ def load_thread(path: str | Path) -> tuple[Thread, AtomRegistry, dict[str, str]]
         raise FormatError(f"{path}:{period_lineno}: a thread must contain at least one world")
     body = lines[2 + n_atoms :]
     if len(body) != t_max:
-        raise FormatError(
-            f"{path}:{period_lineno}: expected {t_max} period lines, found {len(body)}"
-        )
+        expected, found = _clipped(str(t_max)), len(body)
+        raise FormatError(f"{path}:{period_lineno}: expected {expected} period lines, found {found}")
+    # Each distinct token text is checked once, where first met; a line's new
+    # texts are all read as integers before any is checked against the atoms.
+    ids: dict[str, int] = {}
     worlds = []
     for lineno, line in enumerate(body, start=period_lineno + 1):
-        if _PERIOD_LINE.fullmatch(line):
-            try:
-                members = list(map(int, line.split()))
-            except ValueError:  # an id longer than int() reads
-                members = None
-            if members is not None and max(members, default=-1) < n_atoms:
-                worlds.append(members)
-                continue
-        worlds.append(_period_members(path, lineno, line, n_atoms))  # raises, naming the fault
+        texts = line.split()
+        new = {t: _uint(path, lineno, t, "period atom ids") for t in texts if t not in ids}
+        for atom_id in new.values():
+            if atom_id >= n_atoms:
+                unknown = _clipped(str(atom_id))
+                raise FormatError(f"{path}:{lineno}: period references unknown atom id {unknown}")
+        ids.update(new)
+        worlds.append([ids[t] for t in texts])
     registry.freeze()
     return Thread(worlds), registry, params
-
-
-def _period_members(path: str | Path, lineno: int, line: str, n_atoms: int) -> list[int]:
-    """A period line's atom ids, checked token by token."""
-    members = [_uint(path, lineno, tok, "period atom ids") for tok in line.split()]
-    for member in members:
-        if member >= n_atoms:
-            raise FormatError(f"{path}:{lineno}: period references unknown atom id {member}")
-    return members
 
 
 def _parse_count(path: str | Path, lineno: int, line: str) -> int:
@@ -285,7 +274,8 @@ def _parse_rule_fields(
     dim = _uint(path, lineno, fields[5], "rule counts")
     atoms = tuple(fields[6:])
     if dim != len(atoms):
-        raise FormatError(f"{path}:{lineno}: rule dimension {dim} != {len(atoms)} atoms")
+        dim_text = _clipped(str(dim))
+        raise FormatError(f"{path}:{lineno}: rule dimension {dim_text} != {len(atoms)} atoms")
     if len(set(atoms)) != dim:
         joined = _clipped(" & ".join(atoms))
         raise FormatError(f"{path}:{lineno}: precondition repeats an atom: {joined}")
@@ -407,9 +397,8 @@ def _parse_eps(
     """The scored-only columns: eps_avg, eps_min, eps_frac, related, never_separated."""
     related_count, never_separated = [_uint(path, lineno, f, "scored counts") for f in fields[3:]]
     if never_separated > related_count:
-        raise FormatError(
-            f"{path}:{lineno}: never_separated {never_separated} exceeds related {related_count}"
-        )
+        never, related = _clipped(str(never_separated)), _clipped(str(related_count))
+        raise FormatError(f"{path}:{lineno}: never_separated {never} exceeds related {related}")
     if fields[:3] == [UNSCORED] * 3:
         if related_count:
             raise FormatError(f"{path}:{lineno}: an unscored rule must have related 0")

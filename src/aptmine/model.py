@@ -173,9 +173,6 @@ class AtomRegistry:
     def env_set(self) -> frozenset[AtomId]:
         return frozenset(self._env)
 
-    def is_action(self, atom_id: AtomId) -> bool:
-        return atom_id in self._action
-
     def ids(self) -> range:
         return range(len(self._atoms))
 
@@ -277,10 +274,6 @@ class Thread:
     def occurrences(self, atom_id: AtomId) -> tuple[int, ...]:
         """Sorted times at which the atom holds."""
         return tuple(iter_mask_times(self._masks.get(atom_id, 0)))
-
-    def occurring_atoms(self) -> tuple[AtomId, ...]:
-        """Sorted ids of atoms that occur at least once."""
-        return tuple(sorted(self._masks))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Thread):

@@ -1,5 +1,6 @@
 """Relatedness, pairwise probabilities, group scoring, and ranking."""
 
+import random
 from collections import Counter
 
 import numpy as np
@@ -207,6 +208,18 @@ def test_batched_path_is_bit_identical_to_scalar(seed):
         for sr in group:
             reference = causal_scores(thread, sr.rule, by_group[g])
             assert sr == reference  # floats compared exactly, not approximately
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_rule_order_does_not_change_the_ranking(seed):
+    # Each group's members are scored in the order given; repr tells -0.0 from 0.0.
+    thread, registry = random_corpus(seed)
+    report = pf_rule_extract(thread, registry, random_params(seed))
+    shuffled = list(report.rules)
+    random.Random(seed).shuffle(shuffled)
+    for k in (None, 2):
+        want = pf_rule_compare(thread, report.rules, k)
+        assert repr(pf_rule_compare(thread, shuffled, k)) == repr(want)
 
 
 @pytest.mark.parametrize("block_rows", [1, 3, 7])

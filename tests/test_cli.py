@@ -386,8 +386,10 @@ def test_compare_rejects_repeated_and_non_action_rules(t1_thread, tmp_path):
 @pytest.mark.parametrize(
     "field, text",
     [(3, "9" * 4301), (0, "1" * 5000), (None, "x" * 100_000),
-     (None, "\t".join(["0.5", "0.5", "0.5", "3", "g", "2", "a" * 100_000, "a" * 100_000]))],
-    ids=["support-4301-digits", "p-5000-digits", "line-100000-chars", "repeated-atom-100000-chars"],
+     (None, "\t".join(["0.5", "0.5", "0.5", "3", "g", "2", "a" * 100_000, "a" * 100_000])),
+     (5, "9" * 4300)],
+    ids=["support-4301-digits", "p-5000-digits", "line-100000-chars", "repeated-atom-100000-chars",
+         "dimension-4300-digits"],
 )
 def test_compare_diagnostics_quote_long_input_briefly(t1_thread, tmp_path, field, text):
     rules_path = tmp_path / "t1.rules"
@@ -403,6 +405,41 @@ def test_compare_diagnostics_quote_long_input_briefly(t1_thread, tmp_path, field
     result = run("compare", rules_path, t1_thread, "--out", tmp_path / "never.scored")
     assert result.returncode == 1
     assert result.stderr.startswith(f"error: {rules_path}:3: "), result.stderr[:300]
+    assert result.stderr.count("\n") == 1 and len(result.stderr.encode()) < 300, result.stderr[:300]
+
+
+@pytest.mark.parametrize(
+    "lineno, text",
+    [(8, "9" * 4300), (7, "periods\t" + "9" * 4300)],
+    ids=["period-atom-4300-digits", "period-count-4300-digits"],
+)
+def test_mine_diagnostics_quote_long_input_briefly(t1_thread, tmp_path, lineno, text):
+    lines = t1_thread.read_text().splitlines()
+    lines[lineno - 1] = text
+    t1_thread.write_text("\n".join(lines) + "\n")
+    result = run("mine", t1_thread, "--out", tmp_path / "never.rules")
+    assert result.returncode == 1
+    assert result.stderr.startswith(f"error: {t1_thread}:{lineno}: "), result.stderr[:300]
+    assert result.stderr.count("\n") == 1 and len(result.stderr.encode()) < 300, result.stderr[:300]
+
+
+@pytest.mark.parametrize(
+    "edits",
+    [{3: "9" * 4299 + "8", 4: "9" * 4300}, {10: "9" * 4300}],
+    ids=["never-separated-4300-digits", "dimension-4300-digits"],
+)
+def test_report_diagnostics_quote_long_input_briefly(t1_thread, tmp_path, edits):
+    rules_path, scored_path = tmp_path / "t1.rules", tmp_path / "t1.scored"
+    assert run("mine", t1_thread, "--out", rules_path, "--max-dim", "2", "--supp-lb", "1").returncode == 0
+    assert run("compare", rules_path, t1_thread, "--out", scored_path, "--k", "all").returncode == 0
+    lines = scored_path.read_text().splitlines()
+    fields = lines[2].split("\t")
+    for field, text in edits.items():
+        fields[field] = text
+    scored_path.write_text("\n".join([*lines[:2], "\t".join(fields), *lines[3:]]) + "\n")
+    result = run("report", scored_path)
+    assert result.returncode == 1
+    assert result.stderr.startswith(f"error: {scored_path}:3: "), result.stderr[:300]
     assert result.stderr.count("\n") == 1 and len(result.stderr.encode()) < 300, result.stderr[:300]
 
 

@@ -3,11 +3,9 @@
 import datetime as dt
 import math
 import re
-from types import SimpleNamespace
-from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from aptmine import (
     AtomRegistry,
@@ -30,7 +28,6 @@ from aptmine import (
     sparse_benchmark_corpus,
     t1_corpus,
 )
-from aptmine import formats
 from aptmine.formats import (
     RULES_MAGIC,
     THREAD_MAGIC,
@@ -42,7 +39,7 @@ from aptmine.formats import (
     write_atomic,
 )
 
-from conftest import random_corpus, random_params
+from conftest import corpora, random_corpus, random_params
 
 PARAMS = {"epoch": "2014-06-08", "window": "4"}
 
@@ -127,8 +124,17 @@ def tampered(tmp_path, t1, mutate):
         (lambda lines: lines.__setitem__(3, "0\ta(\t0"), r"bad\.thread:4: .*reserved character"),
         (lambda lines: lines.__setitem__(4, "1\ta\tx\ty\t0"), r"bad\.thread:5: .*arity 0, got arity 2"),
         (lambda lines: lines.__setitem__(7, "0 99"), "unknown atom id"),
+        (lambda lines: lines.__setitem__(7, "0 3"), r"bad\.thread:8: period references unknown atom id 3$"),
         (lambda lines: lines.__setitem__(7, "0 x"), r"bad\.thread:8: .*must be integers"),
         (lambda lines: lines.__setitem__(7, "0 \u0661"), r"bad\.thread:8: .*'\u0661'"),
+        (lambda lines: lines.__setitem__(7, "0\u3000\u0661"), r"bad\.thread:8: .*'\u0661'$"),
+        # Every new token is read as an integer before any is checked against the atoms.
+        (lambda lines: lines.__setitem__(7, "99 x"), r"bad\.thread:8: period atom ids must be integers .*'x'$"),
+        # A token checked on line 8 is not checked again; a new one on line 9 is.
+        (lambda lines: lines.__setitem__(slice(7, 9), ["0 1", "1 0 99"]), r"bad\.thread:9: .*unknown atom id 99$"),
+        (lambda lines: lines.__setitem__(slice(7, 9), ["0 1", "1 x"]), r"bad\.thread:9: .*'x'$"),
+        # A fault on each of two lines: the first is named.
+        (lambda lines: lines.__setitem__(slice(7, 9), ["99", "x"]), r"bad\.thread:8: .*unknown atom id 99$"),
         (lambda lines: lines.__setitem__(7, "1_0"), r"bad\.thread:8: .*'1_0'"),
         (lambda lines: lines.__setitem__(7, "0 +1"), r"bad\.thread:8: .*'\+1'"),
         (lambda lines: lines.__setitem__(2, "atoms\t+3"), r"bad\.thread:3: malformed section header"),
@@ -138,6 +144,11 @@ def tampered(tmp_path, t1, mutate):
         # Longer than int() reads.
         (lambda lines: lines.__setitem__(7, "9" * 4301), r"bad\.thread:8: period atom ids must be integers"),
         (lambda lines: lines.__setitem__(2, "atoms\t" + "9" * 4301), r"bad\.thread:3: .*: counts must be integers"),
+        # Long integers that do read are echoed clipped.
+        (lambda lines: lines.__setitem__(7, "9" * 4300),
+         r"bad\.thread:8: period references unknown atom id 9{32}\.\.\. \(4300 characters\)$"),
+        (lambda lines: lines.__setitem__(6, "periods\t" + "9" * 4300),
+         r"bad\.thread:7: expected 9{32}\.\.\. \(4300 characters\) period lines, found 6$"),
         # The params line's first field is exactly "params", and its keys are distinct.
         (lambda lines: lines.__setitem__(1, "params_seed=0"), r"bad\.thread:2: expected a params line"),
         (lambda lines: lines.__setitem__(1, "paramsjunk"), r"bad\.thread:2: expected a params line"),
@@ -259,6 +270,14 @@ def test_a_repeated_atom_is_named_whole_up_to_32_characters(tmp_path, t1, atom, 
     with pytest.raises(FormatError) as raised:
         load_rules(path, registry)
     assert str(raised.value) == f"{path}:3: precondition repeats an atom: {named}"
+
+
+@pytest.mark.parametrize("suffix, offset", [("rules", 0), ("scored", 5)])
+def test_a_long_dimension_is_echoed_clipped(tmp_path, t1, suffix, offset):
+    path, _ = line_damaged(tmp_path, t1, suffix, {offset + 5: "9" * 4300})
+    clipped = re.escape("9" * 32 + "... (4300 characters)")
+    with pytest.raises(FormatError, match=rf"bad\.{suffix}:3: rule dimension {clipped} != 1 atoms$"):
+        load_artifact(path)
 
 
 @pytest.mark.parametrize("suffix, offset", [("rules", 0), ("scored", 5)])
@@ -390,6 +409,8 @@ def test_non_decimal_or_non_finite_floats_raise(tmp_path, t1, suffix, field, tex
         ({5: "1.5"}, r"p must lie in \[0, 1\]"),
         ({7: "1.5"}, r"rho must lie in \[0, 1\]"),
         ({6: "2.0"}, r"p_star must lie in \[0, 1\]"),
+        ({3: "9" * 4299 + "8", 4: "9" * 4300},
+         r"never_separated 9{32}\.\.\. \(4300 characters\) exceeds related 9{32}\.\.\. \(4300 characters\)$"),
     ],
 )
 def test_scored_numbers_out_of_range_raise_with_line(tmp_path, t1, edits, message):
@@ -428,7 +449,7 @@ def assert_in_range(kind, loaded, blob):
         # Each rule is new, ends in an action atom, and lists as many atoms as
         # its line's dimension field says.
         assert len({rule for rule, _ in records}) == len(records)
-        assert all(T1_REGISTRY.is_action(rule.consequence) for rule, _ in records)
+        assert all(rule.consequence in T1_REGISTRY.action_set for rule, _ in records)
         rows = blob.decode().split("\n")[2:]
         for (rule, _), row in zip(records, rows):
             assert rule.precondition.dimension == int(row.split("\t")[5])
@@ -490,61 +511,62 @@ def test_mutated_artifacts_load_in_range_or_raise_format_error(tmp_path_factory,
     assert_in_range(kind, loaded, blob)
 
 
-@st.composite
-def mutated_threads(draw):
-    """The t1 thread's kind and bytes after the mutations of the property above."""
-    blob = ARTIFACTS["thread"]
-    data = SimpleNamespace(draw=draw)
-    for _ in range(draw(st.integers(min_value=1, max_value=3))):
-        if draw(st.booleans()):
-            blob = line_edited(blob, data)
-            continue
-        i = draw(st.integers(min_value=0, max_value=len(blob)))
-        j = draw(st.integers(min_value=i, max_value=min(len(blob), i + 6)))
-        blob = blob[:i] + draw(INSERTS) + blob[j:]
-    return "thread", blob
-
-
 def with_period_line(text):
-    """The t1 thread with its first period line (file line 8) replaced."""
+    """The t1 thread's bytes with its first period line (file line 8) replaced."""
     lines = ARTIFACTS["thread"].decode().split("\n")
     lines[7] = text
-    return "thread", "\n".join(lines).encode()
+    return "\n".join(lines).encode()
 
 
-# Never matches: with it in place of the period pattern, every period line
-# goes through the per-line checks that word the diagnostics.
-NEVER = re.compile(r"(?!)")
+# Tokens load_thread must refuse; "\u00b2" is a digit to str.isdigit().
+BAD_TOKENS = ["x", "\u0661", "\u00b2", "+1", "-1", "1_0", "1.0", "0x1", "9" * 4301]
 
 
-def loaded_or_error(path):
-    """What loading gives, comparable across loads."""
-    try:
-        thread, registry, params = load_thread(path)
-    except FormatError as exc:
-        return f"FormatError: {exc}"
-    worlds = [sorted(thread.world(t)) for t in range(1, thread.t_max + 1)]
-    return worlds, registry_snapshot(registry), params
-
-
-@settings(max_examples=300, deadline=None)
-@given(mutant=mutated_threads())
-# str.split() splits on Unicode whitespace; a repeated id is one member.
-@example(mutant=with_period_line("0\u30001"))
-@example(mutant=with_period_line("1 1"))
-@example(mutant=with_period_line("0\u3000\u0661"))
-@example(mutant=with_period_line("0 3"))
-def test_loaders_agree_with_the_per_line_checks(tmp_path_factory, mutant):
-    # load_thread matches each period line with one pattern and sends only a
-    # line the match or its cheap checks refuse through the per-line checks;
-    # either way it must give what those checks alone give: equal threads, or
-    # a FormatError with equal text.
-    kind, blob = mutant
-    path = tmp_path_factory.mktemp("mutant") / f"mutant.{kind}"
-    path.write_bytes(blob)
-    got = loaded_or_error(path)
-    with mock.patch.object(formats, "_PERIOD_LINE", NEVER):
-        assert got == loaded_or_error(path)
+@settings(max_examples=200, deadline=None)
+@given(corpus=corpora(), data=st.data())
+def test_respelled_period_tokens_load_the_same_worlds_or_name_the_bad_line(
+    tmp_path_factory, corpus, data
+):
+    # Each id is spelled once or twice, with up to two leading zeros, in any
+    # order and between any whitespace.  At most one bad token is planted: an
+    # id past the atoms or a text that is no integer.  However the tokens
+    # before it were checked, the load must name its line and its text.
+    thread, registry = corpus
+    n = len(registry)
+    lines = format_thread(thread, registry, PARAMS).split("\n")
+    zeros = st.integers(min_value=0, max_value=2).map("0".__mul__)
+    bodies = []
+    for t in range(1, thread.t_max + 1):
+        spellings = st.lists(zeros, min_size=1, max_size=2)
+        tokens = [z + str(a) for a in sorted(thread.world(t)) for z in data.draw(spellings)]
+        bodies.append(data.draw(st.permutations(tokens)))
+    bad = None
+    if data.draw(st.booleans()):
+        t = data.draw(st.integers(min_value=1, max_value=thread.t_max))
+        text = data.draw(
+            st.sampled_from(BAD_TOKENS) | st.integers(min_value=n, max_value=10**30).map(str)
+        )
+        at = data.draw(st.integers(min_value=0, max_value=len(bodies[t - 1])))
+        bodies[t - 1].insert(at, text)
+        bad = 4 + n + t, text  # the file line of period t
+    for lineno, tokens in enumerate(bodies, start=5 + n):
+        lines[lineno - 1] = data.draw(st.sampled_from([" ", "  ", "\t", "\u3000"])).join(tokens)
+    path = tmp_path_factory.mktemp("respelled") / "respelled.thread"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    if bad is None:
+        loaded, loaded_registry, _ = load_thread(path)
+        assert loaded == thread
+        assert registry_snapshot(loaded_registry) == registry_snapshot(registry)
+        return
+    lineno, text = bad
+    with pytest.raises(FormatError) as raised:
+        load_thread(path)
+    message = str(raised.value)
+    assert message.startswith(f"{path}:{lineno}: "), message[:200]
+    if text in BAD_TOKENS:
+        assert "period atom ids must be integers" in message and repr(text[:32]) in message
+    else:
+        assert message.endswith(f": period references unknown atom id {text}")
 
 
 @pytest.mark.parametrize(
@@ -578,11 +600,13 @@ def test_loaders_agree_with_the_per_line_checks_at_real_size(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "text, world", [("0\u30001", {0, 1}), ("1 1", {1}), ("\u2003", set()), (" 2\t0 ", {0, 2})]
+    "text, world",
+    [("0\u30001", {0, 1}), ("1 1", {1}), ("\u2003", set()), (" 2\t0 ", {0, 2}), ("01 2", {1, 2}),
+     ("02 2 002", {2})],
 )
 def test_period_lines_split_on_any_whitespace(tmp_path, text, world):
     path = tmp_path / "t.thread"
-    path.write_bytes(with_period_line(text)[1])
+    path.write_bytes(with_period_line(text))
     thread, _, _ = load_thread(path)
     assert thread.world(1) == world
 

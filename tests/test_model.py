@@ -94,7 +94,6 @@ def test_action_and_env_marking():
     registry.mark_action(b)
     assert registry.env_set == {a, b}
     assert registry.action_set == {b}
-    assert registry.is_action(b) and not registry.is_action(a)
 
 
 def test_frozen_registry_blocks_mutation_but_not_reads():
@@ -138,7 +137,7 @@ def test_time_mask_encodes_occurrences(t1):
     assert thread.time_mask(99) == 0
     assert thread.occurrences(b) == (1, 3, 5)
     assert thread.occurrences(99) == ()
-    assert thread.occurring_atoms() == (a, b, g)
+    assert [x for x in registry.ids() if thread.time_mask(x)] == [a, b, g]
 
 
 def test_times_mask_intersects(t1):

@@ -133,7 +133,7 @@ def test_generation_is_seed_deterministic():
 def test_zero_density_without_plants_is_silent():
     corpus = generate_synthetic(SynthSpec(n_env=5, t_max=10, density=0.0, seed=3))
     assert corpus.thread.t_max == 10
-    assert corpus.thread.occurring_atoms() == ()
+    assert not any(corpus.thread.world(t) for t in range(1, 11))
     assert corpus.count_series == {}
 
 
