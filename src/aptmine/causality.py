@@ -11,40 +11,47 @@ Both paths count through the group's stats.ConsequenceCounter.  Grouped
 scoring first splits a group into mask classes: members whose masks, cut
 to the counter's horizon (the times with a successor world), are equal.
 Such members meet every other member alike, so a class is scored once and
-each member takes its eps tuple with its own rule and stats.  A class is
-counted against every class, and the cell of class j carries the weight
-|j|, less one for the row's own class: a member meets each of its own
-siblings, when related, with the never-separated delta p_both - 0.  The
-counts come from one time->rules index per group over the class masks:
-each class's set bits, row by row, and the same bits sorted by time list,
-for each horizon time, the classes set at it.  A class's
-co-occurrence counts come from expanding each of its set bits into that
-time's list and counting the classes met; its co-fired counts are the
-expansions at the counter's qualifying times (whose successor world holds
-the consequence).  Each expansion is one key, its cell with an at-goal
-flag in the low bit, so one sort of a block's keys lines each cell's
-expansions up as a run: its length is the co-occur count and its flags
-sum to the co-fired count.  With c distinct masks, c_t of them set at
-time t, a group costs sum_t c_t**2 expansions, sorted _BLOCK_ROWS classes
-at a time, and it holds the set bits plus one block's expansions: no
-n x T matrix, no n**2 * T products and no c-wide count rows.  The sort
-costs O(E log E) for a block's E expansions, where counting into dense
-rows would cost O(E + _BLOCK_ROWS * c): it pays where a block has far
-fewer expansions than cells, as in a large group of sparse masks.
+each member takes its eps tuple with its own rule and stats.  Each
+unordered pair of classes i <= j is counted once and credits both rows:
+row i against class j with the weight |j|, and, off the diagonal, row j
+against class i with the weight |i|.  On the diagonal the weight is
+|i| - 1: a member meets each of its own siblings, when related, with the
+never-separated delta p_both - 0.  The counts come from one time->rules
+index per group over the class masks: each class's set bits, row by row,
+and the same bits sorted by time, then row.  A set bit of class i expands
+into the classes set at its time from i on, and the cell (i, j) counts
+the expansions that meet j (co-occur) and those at the counter's
+qualifying times (co-fired, the successor world holds the consequence).
+Each expansion is one key, its cell with an at-goal flag in the low bit,
+so one sort of a block's keys lines each cell's expansions up as a run:
+its length is the co-occur count and its flags sum to the co-fired count.
+With c distinct masks, c_t of them set at time t, a group costs
+sum_t c_t * (c_t + 1) / 2 expansions.  Blocks are cut by that count, at
+most _BLOCK_EXPANSIONS of them and _BLOCK_ROWS classes (a row that alone
+makes more is a block of its own), so the group holds its set bits and
+one block's expansions: no n x T matrix, no n**2 * T products and no
+c-wide count rows.  The sort costs O(E log E) for a block's E
+expansions, where counting into dense rows would cost O(E + _BLOCK_ROWS *
+c): it pays where a block has far fewer expansions than cells, as in a
+large group of sparse masks.
 
-The counts are exact int64 integers, at most t_max and so far below 2**53;
+The counts are exact int64 integers, below t_max and so far below 2**53;
 numpy divides two of them as the same correctly rounded float64 division
 Python does for the scalar path (causal_scores).  Each block gathers its
-related cells, divides and takes the deltas at once; per class row only
-eps_avg is summed, by math.fsum over the deltas each repeated by its
-weight.  fsum rounds the exact sum once, whatever the order, so it equals
-the scalar path's fsum over the rule's deltas one pair at a time; eps_min
-and the eps_frac and never-separated counts do not depend on order either.
-Nor does the ranking, whose key is total within a group, so a group's
-members are scored in the order given.
+related cells, divides and takes the deltas at once, for both rows of a
+cell.  Every p is a/b with 0 < b < t_max, so it and every delta are whole
+multiples of 2**-K for K = t_max.bit_length() + 53.  A delta scaled by
+2**K is thus an integer of at most K + 1 bits; split into 32-bit limbs,
+weighted and summed per class row in int64, it gives each row's exact sum,
+rounded once (a Python int divided by 2**K) to the same float math.fsum
+gives, whatever the order.  So eps_avg equals the scalar path's fsum over
+the rule's deltas one pair at a time; eps_min and the eps_frac and
+never-separated counts do not depend on order either.  Nor does the
+ranking, whose key is total within a group, so a group's members are
+scored in the order given.
 So the batched path is bit-identical to the scalar one, which remains the
-readable reference and keeps its own aggregator, _finish, so the two
-aggregations check each other.
+readable reference and keeps its own aggregator, _finish (with fsum), so
+the two aggregations check each other.
 """
 
 from __future__ import annotations
@@ -60,7 +67,8 @@ from .stats import AptRule, ConsequenceCounter, RuleStats, evaluate_rule, rule_s
 if TYPE_CHECKING:
     import numpy as np
 
-_BLOCK_ROWS = 32  # mask classes whose expansions are sorted at once
+_BLOCK_ROWS = 32  # mask classes whose expansions are sorted at once, at most
+_BLOCK_EXPANSIONS = 16384  # and the expansions they make, unless one row alone makes more
 
 
 class UnrelatedRulesError(AptmineError):
@@ -166,11 +174,13 @@ def _rank_key(sr: ScoredRule):
 
 
 def _time_index(masks: list[int], goal: int) -> tuple[np.ndarray, ...]:
-    """The masks' set bits, row by row, and the time->rules index over them.
+    """The masks' set bits, row by row, and where each one expands.
 
     Row k's set times, ascending, are ``times[ptr[k]:ptr[k + 1]]``; ``rows``
-    holds each one's row and ``at_goal`` whether goal has that time.  The
-    rows set at time t, ascending, are ``by_time[upto[t - 1]:upto[t]]``.
+    holds each one's row and ``at_goal`` whether goal has that time.
+    ``by_time`` lists the same bits' rows by time, then by row, and bit b
+    sits at ``first[b]`` in it, so the rows set at its time from its own
+    row on are ``by_time[first[b]:first[b] + lens[b]]``.
     """
     import numpy as np
 
@@ -178,35 +188,37 @@ def _time_index(masks: list[int], goal: int) -> tuple[np.ndarray, ...]:
     rows = np.repeat(np.arange(len(masks), dtype=np.int64), np.diff(ptr))
     times = np.fromiter(chain.from_iterable(map(iter_mask_times, masks)), np.int64, ptr[-1])
     at_goal = np.isin(times, np.fromiter(iter_mask_times(goal), np.int64))
-    by_time = rows[np.argsort(times, kind="stable")]
+    order = np.argsort(times, kind="stable")
+    first = np.empty_like(order)
+    first[order] = np.arange(order.size)
     upto = np.cumsum(np.bincount(times))  # upto[t]: set bits at times <= t
-    return ptr, rows, times, at_goal, upto, by_time
+    lens = upto[times] - first
+    return ptr, rows, at_goal, rows[order], first, lens
 
 
 def _co_counts(
     index: tuple[np.ndarray, ...], start: int, stop: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The related cells of rows start..stop-1, with their co-fired and co-occur counts.
+    """The related cells of rows start..stop-1 on or above the diagonal, with their counts.
 
     With ``index = _time_index(masks, goal)``, ``bits`` the masks' 0/1
     matrix, ``occur = bits[start:stop] @ bits.T`` and ``fired`` the same
     product over goal's times only, ``cells`` is ``flatnonzero(fired)``,
-    ascending, and the counts are ``fired`` and ``occur`` at those cells.
-    Every set bit of the block expands once into the rows listed at its
-    time, giving cell (its row, that row) one key: the cell shifted left,
-    with the bit's at-goal flag below it.  Sorted, a cell's keys are one
-    run, as long as its co-occur count, whose low bits sum to its co-fired
-    count.
+    ascending, less the cells (r, j) with ``j < start + r``, and the counts
+    are ``fired`` and ``occur`` at those cells.  Every set bit of the block
+    expands once into the rows listed at its time from its own row on,
+    giving cell (its row, that row) one key: the cell shifted left, with
+    the bit's at-goal flag below it.  Sorted, a cell's keys are one run,
+    as long as its co-occur count, whose low bits sum to its co-fired count.
     """
     import numpy as np
 
-    ptr, rows, times, at_goal, upto, by_time = index
+    ptr, rows, at_goal, by_time, first, lens = index
     n = ptr.size - 1
     block = slice(ptr[start], ptr[stop])
-    first = upto[times[block] - 1]
-    lens = upto[times[block]] - first
+    lens = lens[block]
     # Expansion k of a bit whose expansions begin at s reads by_time[first + k - s].
-    keys = by_time[np.arange(lens.sum()) + np.repeat(first - (np.cumsum(lens) - lens), lens)]
+    keys = by_time[np.arange(lens.sum()) + np.repeat(first[block] - (np.cumsum(lens) - lens), lens)]
     keys += np.repeat((rows[block] - start) * n, lens)
     keys <<= 1
     keys |= np.repeat(at_goal[block], lens)
@@ -216,6 +228,96 @@ def _co_counts(
     occ = np.diff(runs, append=keys.size)
     related = fire > 0
     return (keys[runs] >> 1)[related], fire[related], occ[related]
+
+
+def _blocks(index: tuple[np.ndarray, ...]) -> Iterable[tuple[int, int]]:
+    """Cut the rows into blocks of at most _BLOCK_ROWS rows and _BLOCK_EXPANSIONS expansions.
+
+    A row that alone makes more expansions than that is a block of its own.
+    """
+    import numpy as np
+
+    ptr, *_, lens = index
+    made = np.concatenate([[0], np.cumsum(lens)])[ptr]  # expansions of the rows before each row
+    start, n = 0, ptr.size - 1
+    while start < n:
+        fits = int(np.searchsorted(made, made[start] + _BLOCK_EXPANSIONS, "right")) - 1
+        stop = max(start + 1, min(start + _BLOCK_ROWS, fits))
+        yield start, stop
+        start = stop
+
+
+def _exact_shift(t_max: int) -> int:
+    """A K for which every delta on a thread of t_max periods is a whole multiple of 2**-K.
+
+    Every p is a/b with 0 <= a <= b and 0 < b < t_max, so a nonzero p is at least
+    2**-t_max.bit_length() and, as a float, a whole multiple of
+    2**-(t_max.bit_length() + 52); so is the difference of two of them.
+    K keeps one bit to spare.
+    """
+    return t_max.bit_length() + 53
+
+
+def _class_totals(
+    masks: list[int], goal: int, size: np.ndarray, shift: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each class row's related, non-negative and never-separated counts, eps sum, and least delta.
+
+    The counts are member counts, the rows of ``totals[:3]``; the eps sum,
+    times 2**shift, is ``sum(totals[3 + m] << 32 * m)``; the least delta is
+    ``lows``, inf where a row is related to nothing.
+    """
+    import numpy as np
+
+    c = len(masks)
+    ptr, rows, at_goal, *_ = index = _time_index(masks, goal)
+    hits = np.bincount(rows[at_goal], minlength=c)  # per-class fired counts
+    occur = np.diff(ptr)                            # per-class restricted supports
+    # Each delta * 2**shift is an integer of magnitude at most 2**shift: as
+    # 32-bit limbs, the top one signed, each at most 2**32, it sums exactly
+    # in int64 over a row's weights, which total fewer than 2**31 members.
+    limbs = -(-shift // 32)
+    totals = np.zeros((3 + limbs, c), dtype=np.int64)
+    lows = np.full(c, np.inf)
+
+    def credits(other, fire, occ, p_both, weight):
+        """The weighted counts and limbs, and the deltas, of rows against the other classes."""
+        only_second = occur[other] - occ
+        sep = only_second > 0
+        p_notfirst = np.divide(hits[other] - fire, only_second, out=np.zeros(sep.size), where=sep)
+        deltas = p_both - p_notfirst
+        parts = np.empty((3 + limbs, deltas.size), dtype=np.int64)
+        parts[0], parts[1], parts[2] = 1, deltas >= 0.0, ~sep
+        rest = deltas
+        for m in reversed(range(1, limbs)):  # limb m holds bits 32m..32m+31 of delta * 2**shift
+            scale = 2.0 ** (shift - 32 * m)
+            parts[3 + m] = limb = np.floor(rest * scale)
+            rest = rest - limb / scale
+        parts[3] = rest * 2.0**shift
+        parts *= weight
+        return parts, np.where(weight > 0, deltas, np.inf)
+
+    for start, stop in _blocks(index):
+        # |{t: c_i, c_j at t}| and |{t: c_i, c_j at t, g at t+1}|, for j >= i
+        cells, fire, occ = _co_counts(index, start, stop)
+        i, j = np.divmod(cells, c)
+        i += start
+        p_both = fire / occ
+        # A member meets each member of class j once, itself excepted.
+        parts, deltas = credits(j, fire, occ, p_both, size[j] - (j == i))
+        # Row i's cells are one run of i; sum and min over each run.
+        firsts = np.flatnonzero(np.diff(i, prepend=-1))
+        runs = i[firsts]
+        totals[:, runs] += np.add.reduceat(parts, firsts, axis=1)
+        lows[runs] = np.minimum(lows[runs], np.minimum.reduceat(deltas, firsts))
+        # Off the diagonal, the same cell also credits row j against class i.
+        off = j != i
+        i, j = i[off], j[off]
+        parts, deltas = credits(i, fire[off], occ[off], p_both[off], size[i])
+        for total, part in zip(totals, parts):
+            np.add.at(total, j, part)
+        np.minimum.at(lows, j, deltas)
+    return totals, lows
 
 
 def _score_group(
@@ -231,35 +333,14 @@ def _score_group(
         classes.setdefault(thread.times_mask(rule.precondition.atoms) & counter.horizon, len(classes))
         for rule, _ in members
     ]
-    c = len(classes)
-    size = np.bincount(cls, minlength=c)  # members per class
-    ptr, rows, _, at_goal, _, _ = index = _time_index(list(classes), counter.qualifying)
-    hits = np.bincount(rows[at_goal], minlength=c)  # per-class fired counts
-    occur = np.diff(ptr)                            # per-class restricted supports
-
-    scores = [(None, None, None, 0, 0)] * c  # a class related to nothing is unscored
-    for start in range(0, c, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, c)
-        # |{t: c_i, c_j at t}| and |{t: c_i, c_j at t, g at t+1}|
-        cells, fire, occ = _co_counts(index, start, stop)
-        r, j = np.divmod(cells, c)
-        # A member meets each member of class j once, itself excepted.
-        weight = size[j] - (j == r + start)
-        keep = weight > 0
-        r, j, weight, fire, occ = r[keep], j[keep], weight[keep], fire[keep], occ[keep]
-        only_second = occur[j] - occ
-        sep = only_second > 0
-        p_notfirst = np.where(sep, (hits[j] - fire) / np.where(sep, only_second, 1), 0.0)
-        deltas = fire / occ - p_notfirst
-        # A related row's cells are one run of r; sum and min over each run.
-        firsts = np.flatnonzero(np.diff(r, prepend=-1))
-        sums = np.add.reduceat([weight, weight * (deltas >= 0.0), weight * ~sep], firsts, axis=1)
-        lows = np.minimum.reduceat(deltas, firsts).tolist()
-        bounds = [*firsts.tolist(), r.size]
-        runs = zip(r.take(firsts).tolist(), bounds, bounds[1:], lows, *sums.tolist())
-        for row, a, b, low, n_related, n_nonneg, never_sep in runs:
-            eps_avg = math.fsum(np.repeat(deltas[a:b], weight[a:b]).tolist()) / n_related
-            scores[start + row] = (eps_avg, low, n_nonneg / n_related, n_related, never_sep)
+    size = np.bincount(cls, minlength=len(classes))  # members per class
+    shift = _exact_shift(thread.t_max)
+    totals, lows = _class_totals(list(classes), counter.qualifying, size, shift)
+    scores = [(None, None, None, 0, 0)] * len(classes)  # a class related to nothing is unscored
+    for k in np.flatnonzero(totals[0]).tolist():
+        n, n_nonneg, never_sep, *limbs = totals[:, k].tolist()
+        exact = sum(limb << 32 * m for m, limb in enumerate(limbs))
+        scores[k] = (exact / (1 << shift) / n, float(lows[k]), n_nonneg / n, n, never_sep)
     return [ScoredRule(rule, stats, *scores[k]) for (rule, stats), k in zip(members, cls)]
 
 

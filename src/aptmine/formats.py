@@ -8,9 +8,11 @@ atom arguments cannot contain tabs, parens, or commas (enforced at
 interning), so the rendered form ``pred(a,b)`` needs no quoting.
 
 Writes are atomic: content is built in memory and moved into place, so a
-failed run leaves no partial output file.  Loaders accept numbers only as
-the writers spell them (ASCII decimal, finite), check their ranges, and
-raise every fault as a FormatError naming path:line.
+failed run leaves no partial output file.  Loaders accept numbers only in
+ASCII decimal (finite, integers unsigned), but not only as the writers
+spell them: leading zeros are read, and a period line may repeat an atom
+id or list its ids in any order.  They check ranges, and raise every fault
+as a FormatError naming path:line.
 
 Rules and scored files are read a line at a time: each line is split on
 tabs and its fields are checked in order.  Each distinct statistics text (p,

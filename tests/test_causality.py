@@ -1,7 +1,9 @@
 """Relatedness, pairwise probabilities, group scoring, and ranking."""
 
+import math
 import random
 from collections import Counter
+from itertools import product
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from aptmine import (
     pf_rule_compare,
     pf_rule_extract,
     related,
+    rule_sort_key,
 )
 import aptmine.causality as causality
 from aptmine.stats import ConsequenceCounter
@@ -235,8 +238,9 @@ def test_row_chunking_does_not_change_results(monkeypatch, block_rows):
     assert largest > block_rows and (block_rows == 1 or largest % block_rows)  # a partial last block
     whole = pf_rule_compare(thread, report.rules)
     monkeypatch.setattr(causality, "_BLOCK_ROWS", block_rows)
-    chunked = pf_rule_compare(thread, report.rules)
-    assert whole == chunked
+    for expansions in (causality._BLOCK_EXPANSIONS, 1):
+        monkeypatch.setattr(causality, "_BLOCK_EXPANSIONS", expansions)
+        assert pf_rule_compare(thread, report.rules) == whole
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -292,12 +296,38 @@ def test_co_counts_equal_the_matrix_product(bits, goal):
         for stop in range(start + 1, n + 1):
             cells, fire, occ = causality._co_counts(index, start, stop)
             assert cells.dtype == fire.dtype == occ.dtype == np.int64
-            # The related cells, ascending, with their counts read off both products.
-            assert np.array_equal(cells, np.flatnonzero(want_fired[start:stop]))
+            # The related cells on or above the diagonal, ascending, with
+            # their counts read off both products.
+            upper = np.triu(want_fired[start:stop], start)
+            assert np.array_equal(cells, np.flatnonzero(upper))
             assert np.array_equal(fire, want_fired[start:stop].take(cells))
             assert np.array_equal(occ, want_occur[start:stop].take(cells))
-            if not want_fired[start:stop].any():
+            if not upper.any():
                 assert cells.size == fire.size == occ.size == 0
+
+
+@given(
+    arrays(np.uint8, array_shapes(min_dims=2, max_dims=2, max_side=9), elements=st.integers(0, 1)),
+    st.integers(1, 4),
+    st.integers(1, 30),
+)
+@example(_bits([[1, 1], [1, 1], [0, 0], [1, 0]]), 2, 1)  # rows over the cap alone; an empty row
+def test_blocks_cut_the_rows_in_order_at_either_cap(bits, block_rows, expansions):
+    n = bits.shape[0]
+    masks = [sum(int(bit) << c for c, bit in enumerate(row)) for row in bits]
+    wide = bits.astype(np.int64)
+    made = np.triu(wide @ wide.T).sum(axis=1)  # row k expands into the rows from k on
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(causality, "_BLOCK_ROWS", block_rows)
+        mp.setattr(causality, "_BLOCK_EXPANSIONS", expansions)
+        blocks = list(causality._blocks(causality._time_index(masks, 0)))
+    assert [start for start, _ in blocks] == [0, *(stop for _, stop in blocks[:-1])]
+    assert blocks[-1][1] == n
+    for start, stop in blocks:
+        assert stop - start <= block_rows
+        assert stop - start == 1 or made[start:stop].sum() <= expansions
+        # A block ends only where the next row would break a cap.
+        assert stop == n or stop - start == block_rows or made[start:stop + 1].sum() > expansions
 
 
 @pytest.mark.parametrize("block_rows", [1, 2])
@@ -310,11 +340,13 @@ def test_a_block_of_rules_firing_only_at_t_max_scores_like_the_scalar_path(
     thread = Thread([{0, 1}, {2}, {1}, {2}, {0, 1, 3, 4}])
     rules = [AptRule(Conjunction(atoms), 2) for atoms in [(0,), (1,), (3,), (3, 4), (4,)]]
     monkeypatch.setattr(causality, "_BLOCK_ROWS", block_rows)
-    ranked = pf_rule_compare(thread, [(r, evaluate_rule(thread, r)) for r in rules])
-    assert {sr.rule for sr in ranked[2]} == set(rules)
-    for sr in ranked[2]:
-        assert sr == causal_scores(thread, sr.rule, rules)
-    assert [sr.is_unscored for sr in ranked[2]] == [False, False, True, True, True]
+    for expansions in (causality._BLOCK_EXPANSIONS, 1):
+        monkeypatch.setattr(causality, "_BLOCK_EXPANSIONS", expansions)
+        ranked = pf_rule_compare(thread, [(r, evaluate_rule(thread, r)) for r in rules])
+        assert {sr.rule for sr in ranked[2]} == set(rules)
+        for sr in ranked[2]:
+            assert sr == causal_scores(thread, sr.rule, rules)
+        assert [sr.is_unscored for sr in ranked[2]] == [False, False, True, True, True]
 
 
 @pytest.mark.parametrize("block_rows", [causality._BLOCK_ROWS, 3])
@@ -336,6 +368,9 @@ def test_long_threads_score_like_the_scalar_path(monkeypatch, block_rows):
         assert any(not sr.is_unscored for sr in scored)
         for sr in scored:
             assert sr == causal_scores(corpus.thread, sr.rule, by_group[sr.rule.consequence])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(causality, "_BLOCK_EXPANSIONS", 1)
+            assert pf_rule_compare(corpus.thread, report.rules) == ranked
 
 
 @st.composite
@@ -380,9 +415,10 @@ def test_mask_classes_score_like_the_scalar_path(case):
     sizes = Counter(thread.times_mask(rule.precondition.atoms) & horizon for rule in rules)
     assert max(sizes.values()) > 1  # some members share a mask class
     pairs = [(rule, evaluate_rule(thread, rule)) for rule in rules]
-    for block_rows in (causality._BLOCK_ROWS, 1, 2):
+    for block_rows, expansions in product((causality._BLOCK_ROWS, 1, 2), (causality._BLOCK_EXPANSIONS, 1)):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(causality, "_BLOCK_ROWS", block_rows)
+            mp.setattr(causality, "_BLOCK_EXPANSIONS", expansions)
             ranked = pf_rule_compare(thread, pairs)
         assert len(ranked[g]) == len(rules)
         for sr in ranked[g]:
@@ -398,3 +434,51 @@ def test_scores_are_plain_python_numbers(seed):
         for sr in group:
             assert {type(sr.eps_avg), type(sr.eps_min), type(sr.eps_frac)} <= {float, type(None)}
             assert type(sr.related_count) is int and type(sr.never_separated_count) is int
+
+
+def test_exact_sums_past_64_bits_score_like_the_scalar_path():
+    # t_max = 3000: a delta scaled to an integer takes 65 bits and a third limb.
+    plant = PlantedRule((0, 1), "g0", 0.9, 200)
+    corpus = generate_synthetic(SynthSpec(n_env=10, t_max=3000, planted=(plant,), density=0.1))
+    thread = corpus.thread
+    assert causality._exact_shift(thread.t_max) == 65
+    report = pf_rule_extract(thread, corpus.registry, ExtractParams(max_dim=2, supp_lb=3, min_prob=0.3))
+    (group,) = {rule.consequence for rule, _ in report.rules}
+    rules = sorted((rule for rule, _ in report.rules), key=rule_sort_key)
+    ranked = pf_rule_compare(thread, report.rules)
+    assert sum(not sr.is_unscored for sr in ranked[group]) > 1
+    for sr in ranked[group]:
+        assert sr == causal_scores(thread, sr.rule, rules)
+
+    def deltas(rule):
+        pairs = (pair_probs(thread, rule, r2) for r2 in rules if r2 != rule and related(thread, rule, r2))
+        return [pp.p_both - pp.p_notfirst for pp in pairs]
+
+    # Adding the deltas in float64, in the scalar path's order, would not do.
+    assert any(sum(d) != math.fsum(d) for d in map(deltas, rules))
+
+
+@st.composite
+def consequence_groups(draw):
+    """A corpus thread and a few rules of one consequence on it."""
+    thread, registry = draw(corpora())
+    n = len(registry)
+    g = draw(st.integers(0, n - 1))
+    atoms = st.sets(st.sampled_from([x for x in range(n) if x != g]), min_size=1, max_size=2)
+    preconditions = draw(st.lists(atoms, min_size=1, max_size=8, unique_by=frozenset))
+    return thread, [AptRule(Conjunction(atoms), g) for atoms in preconditions]
+
+
+@given(consequence_groups())
+@example((  # t_max = 7: p_both = 1/6, whose last float bit is worth 2**-55
+    Thread([{0, 1}, {0, 1, 2}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, set()]),
+    [AptRule(Conjunction([0]), 2), AptRule(Conjunction([1]), 2)],
+))
+def test_every_delta_is_a_whole_multiple_of_2_to_the_minus_k(case):
+    thread, rules = case
+    k = causality._exact_shift(thread.t_max)
+    for r, r2 in product(rules, rules):
+        if r != r2 and related(thread, r, r2):
+            pp = pair_probs(thread, r, r2)
+            scaled = math.ldexp(pp.p_both - pp.p_notfirst, k)
+            assert scaled.is_integer() and abs(scaled) <= 2**k
