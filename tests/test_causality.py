@@ -415,7 +415,8 @@ def test_mask_classes_score_like_the_scalar_path(case):
     sizes = Counter(thread.times_mask(rule.precondition.atoms) & horizon for rule in rules)
     assert max(sizes.values()) > 1  # some members share a mask class
     pairs = [(rule, evaluate_rule(thread, rule)) for rule in rules]
-    for block_rows, expansions in product((causality._BLOCK_ROWS, 1, 2), (causality._BLOCK_EXPANSIONS, 1)):
+    caps = product((causality._BLOCK_ROWS, 1, 2), (causality._BLOCK_EXPANSIONS, 1))
+    for block_rows, expansions in caps:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(causality, "_BLOCK_ROWS", block_rows)
             mp.setattr(causality, "_BLOCK_EXPANSIONS", expansions)
