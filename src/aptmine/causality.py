@@ -41,10 +41,10 @@ Python does for the scalar path (causal_scores).  Each block gathers its
 related cells, divides and takes the deltas at once, for both rows of a
 cell.  Every p is a/b with 0 < b < t_max, so it and every delta are whole
 multiples of 2**-K for K = t_max.bit_length() + 53.  A delta scaled by
-2**K is thus an integer of at most K + 1 bits; split into 32-bit limbs,
-weighted and summed per class row in int64, it gives each row's exact sum,
-rounded once (a Python int divided by 2**K) to the same float math.fsum
-gives, whatever the order.  So eps_avg equals the scalar path's fsum over
+2**K is thus an integer of at most K + 1 bits.  Its magnitude split into
+32-bit limbs, each limb given the delta's sign, weighted and summed per
+class row in int64, it gives each row's exact sum, rounded once (a Python
+int divided by 2**K) to the same float math.fsum gives, whatever the order.  So eps_avg equals the scalar path's fsum over
 the rule's deltas one pair at a time; eps_min and the eps_frac and
 never-separated counts do not depend on order either.  Nor does the
 ranking, whose key is total within a group, so a group's members are
@@ -258,6 +258,28 @@ def _exact_shift(t_max: int) -> int:
     return t_max.bit_length() + 53
 
 
+def _limbs(deltas: np.ndarray, shift: int) -> np.ndarray:
+    """Each delta times 2**shift as 32-bit limbs: ``sum(out[m, k] << 32 * m)`` is ``deltas[k] * 2**shift``.
+
+    Every delta must be a whole multiple of 2**-shift, at most 1 in
+    magnitude.  The magnitude is split and its sign put back on every limb:
+    taking the whole units of a non-negative rest off it is exact, where a
+    negative rest smaller than half a unit would round.  Each limb is at
+    most 2**32 in magnitude.
+    """
+    import numpy as np
+
+    out = np.empty((-(-shift // 32), deltas.size), dtype=np.int64)
+    rest = np.abs(deltas)
+    for m in reversed(range(1, len(out))):  # limb m holds bits 32m..32m+31
+        scale = 2.0 ** (shift - 32 * m)
+        out[m] = limb = np.floor(rest * scale)
+        rest = rest - limb / scale
+    out[0] = rest * 2.0**shift
+    np.negative(out, out=out, where=deltas < 0.0)
+    return out
+
+
 def _class_totals(
     masks: list[int], goal: int, size: np.ndarray, shift: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -273,9 +295,8 @@ def _class_totals(
     ptr, rows, at_goal, *_ = index = _time_index(masks, goal)
     hits = np.bincount(rows[at_goal], minlength=c)  # per-class fired counts
     occur = np.diff(ptr)                            # per-class restricted supports
-    # Each delta * 2**shift is an integer of magnitude at most 2**shift: as
-    # 32-bit limbs, the top one signed, each at most 2**32, it sums exactly
-    # in int64 over a row's weights, which total fewer than 2**31 members.
+    # Each limb is at most 2**32 in magnitude, so it sums exactly in int64
+    # over a row's weights, which total fewer than 2**31 members.
     limbs = -(-shift // 32)
     totals = np.zeros((3 + limbs, c), dtype=np.int64)
     lows = np.full(c, np.inf)
@@ -288,12 +309,7 @@ def _class_totals(
         deltas = p_both - p_notfirst
         parts = np.empty((3 + limbs, deltas.size), dtype=np.int64)
         parts[0], parts[1], parts[2] = 1, deltas >= 0.0, ~sep
-        rest = deltas
-        for m in reversed(range(1, limbs)):  # limb m holds bits 32m..32m+31 of delta * 2**shift
-            scale = 2.0 ** (shift - 32 * m)
-            parts[3 + m] = limb = np.floor(rest * scale)
-            rest = rest - limb / scale
-        parts[3] = rest * 2.0**shift
+        parts[3:] = _limbs(deltas, shift)
         parts *= weight
         return parts, np.where(weight > 0, deltas, np.inf)
 

@@ -459,6 +459,40 @@ def test_exact_sums_past_64_bits_score_like_the_scalar_path():
     assert any(sum(d) != math.fsum(d) for d in map(deltas, rules))
 
 
+def test_a_small_negative_delta_on_a_three_limb_thread_sums_exactly():
+    # t_max = 3000, so K = 65 and the top limb is worth 2**64 / 2**65 = 1/2
+    # of a unit.  {0} against {1}: p_both = 1/10 and p_notfirst = 2/10, so the
+    # pair's delta is -fl(0.1), whose low bits all lie below that top limb.
+    worlds = [set() for _ in range(3000)]
+    for k in range(10):
+        worlds[100 * k] = {0, 1}
+        worlds[1500 + 100 * k] = {1}
+    worlds[101] = worlds[1501] = worlds[1601] = {2}
+    thread = Thread(worlds)
+    assert causality._exact_shift(thread.t_max) == 65
+    rules = [AptRule(Conjunction([atom]), 2) for atom in (0, 1)]
+    assert pair_probs(thread, *rules) == PairProbs(0.1, 0.2, False)
+    ranked = pf_rule_compare(thread, [(r, evaluate_rule(thread, r)) for r in rules])
+    assert {sr.rule: sr.eps_avg for sr in ranked[2]} == {rules[0]: 0.1 - 0.2, rules[1]: 0.1}
+    for sr in ranked[2]:
+        assert sr == causal_scores(thread, sr.rule, rules)
+
+
+@given(st.integers(54, 96), st.lists(st.floats(-1.0, 1.0), max_size=20))
+@example(65, [0.1 - 0.2, 0.1])                   # a negative delta under half the top limb's unit
+@example(54, [-1.0, 1.0, 0.0, -math.ldexp(1, -54)])
+@example(96, [-1.0, 1.0, -math.ldexp(1, -96), -math.ldexp(1, -32)])  # limb edges
+def test_limbs_sum_to_the_scaled_delta(shift, floats):
+    # Deltas are whole multiples of 2**-shift, at most 1 in magnitude.
+    deltas = [math.ldexp(math.floor(math.ldexp(x, shift)), -shift) for x in floats]
+    limbs = causality._limbs(np.array(deltas, dtype=float), shift)
+    assert limbs.dtype == np.int64 and limbs.shape == (-(-shift // 32), len(deltas))
+    assert np.abs(limbs).max(initial=0) <= 2**32
+    for k, delta in enumerate(deltas):
+        exact = sum(int(limb) << 32 * m for m, limb in enumerate(limbs[:, k]))
+        assert exact == int(math.ldexp(delta, shift))
+
+
 @st.composite
 def consequence_groups(draw):
     """A corpus thread and a few rules of one consequence on it."""
