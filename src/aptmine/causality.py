@@ -44,11 +44,11 @@ multiples of 2**-K for K = t_max.bit_length() + 53.  A delta scaled by
 2**K is thus an integer of at most K + 1 bits.  Its magnitude split into
 32-bit limbs, each limb given the delta's sign, weighted and summed per
 class row in int64, it gives each row's exact sum, rounded once (a Python
-int divided by 2**K) to the same float math.fsum gives, whatever the order.  So eps_avg equals the scalar path's fsum over
-the rule's deltas one pair at a time; eps_min and the eps_frac and
-never-separated counts do not depend on order either.  Nor does the
-ranking, whose key is total within a group, so a group's members are
-scored in the order given.
+int divided by 2**K) to the same float math.fsum gives, whatever the
+order.  So eps_avg equals the scalar path's fsum over the rule's deltas
+one pair at a time; eps_min and the eps_frac and never-separated counts
+do not depend on order either.  Nor does the ranking, whose key is total
+within a group, so a group's members are scored in the order given.
 So the batched path is bit-identical to the scalar one, which remains the
 readable reference and keeps its own aggregator, _finish (with fsum), so
 the two aggregations check each other.
@@ -259,13 +259,14 @@ def _exact_shift(t_max: int) -> int:
 
 
 def _limbs(deltas: np.ndarray, shift: int) -> np.ndarray:
-    """Each delta times 2**shift as 32-bit limbs: ``sum(out[m, k] << 32 * m)`` is ``deltas[k] * 2**shift``.
+    """Each delta times 2**shift, as 32-bit limbs.
 
-    Every delta must be a whole multiple of 2**-shift, at most 1 in
-    magnitude.  The magnitude is split and its sign put back on every limb:
-    taking the whole units of a non-negative rest off it is exact, where a
-    negative rest smaller than half a unit would round.  Each limb is at
-    most 2**32 in magnitude.
+    ``sum(out[m, k] << 32 * m)`` is ``deltas[k] * 2**shift``.  Every delta
+    must be a whole multiple of 2**-shift, at most 1 in magnitude.  The
+    magnitude is split and its sign put back on every limb: taking the whole
+    units of a non-negative rest off it is exact, where a negative rest
+    smaller than half a unit would round.  Each limb is at most 2**32 in
+    magnitude.
     """
     import numpy as np
 
