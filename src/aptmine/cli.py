@@ -37,7 +37,6 @@ from .ingestion import (
     parse_events,
 )
 from .model import AptmineError
-from .oracle import PlantedRule, SynthSpec, generate_synthetic
 from .spikes import SpikeConfig
 
 
@@ -312,6 +311,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    from .oracle import PlantedRule, SynthSpec, generate_synthetic  # so no other command loads it
+
     planted = tuple(
         PlantedRule(atoms, f"g{i}", prob, placements)
         for i, (atoms, prob, placements) in enumerate(args.plant)

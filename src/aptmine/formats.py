@@ -29,13 +29,15 @@ import math
 import os
 import re
 import sys
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
-from .model import ArityError, AtomId, AtomRegistry, Conjunction, Predicate, Thread
+from .model import ArityError, AtomId, AtomRegistry, Conjunction, FormatError, Predicate, Thread
 from .stats import AptRule, RuleStats
-from .causality import ScoredRule
-from .ingestion import FormatError, Reject, decode_utf8
+
+if TYPE_CHECKING:
+    from .causality import ScoredRule
 
 THREAD_MAGIC = "aptmine-thread v1"
 RULES_MAGIC = "aptmine-rules v1"
@@ -49,6 +51,24 @@ UNSCORED = "na"
 _FLOAT = re.compile(r"-?[0-9]+(?:\.[0-9]+)?(?:e[-+][0-9]+)?")
 # Diagnostics quote at most this many characters of a refused text.
 _QUOTED = 32
+
+
+@dataclass(frozen=True, slots=True, order=True)
+class Reject:
+    """A row that could not be used, the CSV line it starts on, and why."""
+
+    line: int
+    reason: str
+    detail: str
+
+
+def decode_utf8(path: str | Path, data: bytes) -> str:
+    """The file's bytes as text; bad UTF-8 raises a FormatError naming path:line."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise FormatError(f"{path}:{lineno}: not valid UTF-8 ({exc.reason})")
 
 
 def write_atomic(path: str | Path, text: str) -> None:
@@ -329,6 +349,9 @@ def load_rules(
         if len(fields) < 7:
             raise FormatError(f"{path}:{lineno}: malformed rule line {_quoted(line)}")
         stats, consequence, atoms = _parse_rule_fields(path, lineno, fields, stats_by_text)
+        if consequence in atoms:
+            where, quoted = f"{path}:{lineno}", _quoted(consequence)
+            raise FormatError(f"{where}: rule consequence {quoted} may not appear in its own precondition")
         try:
             rule = AptRule(Conjunction([resolve[a] for a in atoms]), resolve[consequence])
         except KeyError as exc:

@@ -15,10 +15,10 @@ import datetime as dt
 import io
 import re
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Mapping
 
-from .model import RESERVED_CHAR, AptmineError, AtomRegistry, Predicate, Thread
+from .formats import Reject, decode_utf8
+from .model import RESERVED_CHAR, AptmineError, AtomRegistry, FormatError, Predicate, Thread
 from .spikes import SpikeConfig, spike_atoms
 
 EXPECTED_HEADER = ("date", "predicate", "arg1", "arg2", "actor")
@@ -26,10 +26,6 @@ THEATERS = ("Iraq", "Syria")
 TOTAL_THEATER = "Total"
 SPIKE_SUFFIX = "Spike"  # spike atoms are <predicate>Spike(theater, <k>sigma)
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
-
-
-class FormatError(AptmineError):
-    """A file violated its format contract (hard failure, not a reject)."""
 
 
 class EmptyCorpusError(AptmineError):
@@ -48,15 +44,6 @@ class EventRecord:
     predicate: str
     args: tuple[str, ...]
     line: int
-
-
-@dataclass(frozen=True, slots=True, order=True)
-class Reject:
-    """A row that could not be used, the CSV line it starts on, and why."""
-
-    line: int
-    reason: str
-    detail: str
 
 
 @dataclass(frozen=True)
@@ -119,15 +106,6 @@ def parse_date(text: str) -> dt.date:
     if not _ISO_DATE.fullmatch(text):
         raise ValueError(f"bad date {text!r}, expected YYYY-MM-DD")
     return dt.date.fromisoformat(text)
-
-
-def decode_utf8(path: str | Path, data: bytes) -> str:
-    """The file's bytes as text; bad UTF-8 raises a FormatError naming path:line."""
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
-        raise FormatError(f"{path}:{lineno}: not valid UTF-8 ({exc.reason})")
 
 
 def _csv_rows(source: BinaryIO | io.TextIOBase, where: str) -> Iterator[tuple[int, list[str]]]:

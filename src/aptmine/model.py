@@ -37,6 +37,10 @@ class FrozenRegistryError(AptmineError):
     """A mutation was attempted on a frozen registry, or a frozen one was required."""
 
 
+class FormatError(AptmineError):
+    """A file violated its format contract (hard failure, not a reject)."""
+
+
 # Reserved in predicate names and arguments so the rendered form
 # ``pred(arg1,arg2)`` and the tab-separated file formats stay unambiguous.
 RESERVED = "(),\t\n\r"

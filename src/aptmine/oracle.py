@@ -20,13 +20,15 @@ from itertools import combinations
 from typing import Iterable, Mapping
 
 from .extraction import ExtractParams, subset_count
-from .ingestion import BuiltCorpus, CorpusConfig, EmptyCorpusError, FormatError, Reject
+from .formats import Reject
+from .ingestion import BuiltCorpus, CorpusConfig, EmptyCorpusError
 from .model import (
     AptmineError,
     Atom,
     AtomId,
     AtomRegistry,
     Conjunction,
+    FormatError,
     Predicate,
     RESERVED,
     Thread,

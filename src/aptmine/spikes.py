@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 
@@ -44,6 +43,9 @@ def spike_atoms(counts: Sequence[int], config: SpikeConfig) -> list[tuple[int, f
     w window counts and k = p/q, count c spikes at k iff w*c - S > 0 and
     (q*(w*c - S))**2 >= p**2 * (w*Q - S**2): the float test times w*q, squared.
     """
+    # Imported here so that the commands that never detect spikes skip fractions and decimal.
+    from fractions import Fraction
+
     w = config.window
     ratios = [(k, *Fraction(repr(k)).as_integer_ratio()) for k in config.thresholds]
     out: list[tuple[int, float]] = []

@@ -548,3 +548,64 @@ def test_cli_import_leaves_numpy_unloaded():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def modules_after(statement):
+    """The modules a fresh interpreter holds after running the statement."""
+    code = f"import sys; {statement}; print(' '.join(sys.modules))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return set(result.stdout.split())
+
+
+def test_cli_import_leaves_the_oracle_and_fractions_unloaded():
+    # Only synth uses the oracle, and only ingest detects spikes in fractions.
+    assert not modules_after("import aptmine.cli") & {"aptmine.oracle", "fractions", "decimal"}
+
+
+def test_formats_import_loads_only_the_model_and_stats():
+    # Not ingestion, spikes or causality: the codec depends on nothing above it.
+    loaded = modules_after("import aptmine.formats")
+    assert {m for m in loaded if m.startswith("aptmine.")} == {"aptmine.formats", "aptmine.model", "aptmine.stats"}
+    assert "csv" not in loaded
+
+
+def test_a_bare_package_import_loads_no_submodule():
+    assert not {m for m in modules_after("import aptmine") if m.startswith("aptmine.")}
+
+
+def test_every_exported_name_is_the_object_its_home_module_defines():
+    import importlib
+
+    import aptmine
+
+    names = [name for name in aptmine.__all__ if name != "__version__"]
+    # No name is listed under two modules, and none is lost.
+    assert len(names) == sum(len(listed.split()) for listed in aptmine._EXPORTS.values()) == 59
+    for name in names:
+        home = importlib.import_module(f"aptmine.{aptmine._HOME[name]}")
+        value = getattr(aptmine, name)
+        assert value is getattr(home, name), name
+        # A class or function is listed under the module that defines it, not one that imports it.
+        assert getattr(value, "__module__", home.__name__) in (home.__name__, "builtins"), name
+
+
+def test_a_star_import_binds_every_exported_name():
+    import aptmine
+
+    namespace = {}
+    exec("from aptmine import *", namespace)
+    assert set(aptmine.__all__) <= namespace.keys()
+
+
+def test_an_unknown_package_attribute_raises_attribute_error():
+    import aptmine
+
+    with pytest.raises(AttributeError, match="no_such_name"):
+        aptmine.no_such_name
+    assert not hasattr(aptmine, "no_such_name")
+    # A submodule name is not an export: 'from aptmine import cli' imports the submodule.
+    code = "import aptmine; print(hasattr(aptmine, 'cli')); from aptmine import cli; print(cli.__name__)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False", "aptmine.cli"]

@@ -173,6 +173,14 @@ def test_repeated_atom_line_raises_naming_both_lines(tmp_path):
         load_thread(path)
 
 
+def test_an_atoms_header_promising_more_lines_than_the_file_holds_is_truncated(tmp_path):
+    # The header promises four atom lines; two come before the periods header.
+    path = tmp_path / "short.thread"
+    path.write_text(f"{THREAD_MAGIC}\nparams\natoms\t4\n0\ta\t0\n1\tg\t1\nperiods\t1\n0 1\n")
+    with pytest.raises(FormatError, match=r"^.*short\.thread:3: truncated atoms section$"):
+        load_thread(path)
+
+
 def test_rules_round_trip_exactly(tmp_path):
     thread, registry = random_corpus(9)
     report = pf_rule_extract(thread, registry, random_params(9))
@@ -306,6 +314,26 @@ def test_rule_consequence_must_be_an_action_atom(tmp_path, t1):
     path, registry = line_damaged(tmp_path, t1, "rules", {4: "b()", 6: "a()"})
     with pytest.raises(FormatError, match=r"bad\.rules:3: consequence b\(\) is not an action atom"):
         load_rules(path, registry)
+
+
+@pytest.mark.parametrize(
+    "name, named",
+    [("g", "'g()'"), ("g" * 40, repr("g" * 32) + "... (42 characters)")],
+    ids=["whole", "clipped"],
+)
+def test_a_consequence_in_its_own_precondition_is_named_as_the_file_spells_it(tmp_path, name, named):
+    # Not by its registry id (1 here), which the file never spells.
+    registry = AtomRegistry()
+    a, g = registry.intern(Predicate("a", 0)), registry.intern(Predicate(name, 0))
+    registry.mark_env(a)
+    registry.mark_env(g)
+    registry.mark_action(g)
+    registry.freeze()
+    path = tmp_path / "bad.rules"
+    path.write_text(f"{RULES_MAGIC}\nparams\n0.5\t0.5\t0.0\t1\t{name}()\t2\ta()\t{name}()\n")
+    with pytest.raises(FormatError) as raised:
+        load_rules(path, registry)
+    assert str(raised.value) == f"{path}:3: rule consequence {named} may not appear in its own precondition"
 
 
 def t1_artifacts():
