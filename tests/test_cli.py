@@ -559,7 +559,7 @@ def modules_after(statement):
 
 
 def test_cli_import_leaves_the_oracle_and_fractions_unloaded():
-    # Only synth uses the oracle, and only ingest detects spikes in fractions.
+    # Only synth uses the oracle, and only spike detection needs fractions (which loads decimal).
     assert not modules_after("import aptmine.cli") & {"aptmine.oracle", "fractions", "decimal"}
 
 
