@@ -349,16 +349,14 @@ def load_rules(
         if len(fields) < 7:
             raise FormatError(f"{path}:{lineno}: malformed rule line {_quoted(line)}")
         stats, consequence, atoms = _parse_rule_fields(path, lineno, fields, stats_by_text)
-        if consequence in atoms:
-            where, quoted = f"{path}:{lineno}", _quoted(consequence)
-            raise FormatError(f"{where}: rule consequence {quoted} may not appear in its own precondition")
         try:
             rule = AptRule(Conjunction([resolve[a] for a in atoms]), resolve[consequence])
         except KeyError as exc:
             unknown = _quoted(exc.args[0])
             raise FormatError(f"{path}:{lineno}: unknown atom {unknown} for this thread")
-        except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: {exc}")
+        except ValueError:
+            where, quoted = f"{path}:{lineno}", _quoted(consequence)
+            raise FormatError(f"{where}: rule consequence {quoted} may not appear in its own precondition")
         if rule.consequence not in action:
             raise FormatError(f"{path}:{lineno}: consequence {consequence} is not an action atom")
         if first_line.setdefault(rule, lineno) != lineno:
