@@ -18,6 +18,7 @@ from . import __version__
 from .causality import pf_rule_compare
 from .extraction import ExtractParams, pf_rule_extract
 from .formats import (
+    _clipped,
     load_rules,
     load_scored,
     load_thread,
@@ -194,7 +195,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         if not rejects:
             raise EmptyCorpusError(f"{args.events}: the file has no event rows") from None
         first = rejects[0]
-        detail = " ".join(first.detail.splitlines())  # a quoted line break stays in its cell
+        detail = _clipped(" ".join(first.detail.splitlines()))  # a quoted line break stays in its cell
         raise EmptyCorpusError(
             f"{args.events}: all {len(rejects)} rows rejected; "
             f"first: line {first.line}, {first.reason} {detail}"

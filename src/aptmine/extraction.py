@@ -7,9 +7,8 @@ the successor world), a bit of stats.ConsequenceCounter(thread, g).qualifying,
 and holds at supp_lb times or more.  One depth-first walk over the sorted
 pool finds them, carrying each prefix's mask down, and each is evaluated
 once, from its mask, against the prior and minimum-probability gates.  g's
-counter is built once and gives p and p* straight from the mask; AptRule
-and RuleStats are built only for the rules that pass, and g's rules with
-equal support, fired and hit counts share one RuleStats.
+counter is built once and gives p straight from the mask; AptRule is built
+only for the rules that pass, and their statistics come from the counter.
 
 Nothing that could pass the gates is lost.  The walk cuts a set, and with
 it every extension, on two grounds, and adding an atom only clears mask
@@ -41,7 +40,7 @@ from .model import (
     FrozenRegistryError,
     Thread,
 )
-from .stats import AptRule, ConsequenceCounter, RuleStats, prior
+from .stats import AptRule, ConsequenceCounter, RuleStats
 
 
 class EmptyConsequenceError(AptmineError):
@@ -186,22 +185,12 @@ def pf_rule_extract(
     rules: list[tuple[AptRule, RuleStats]] = []
     explored = 0
     for g, counter in counters.items():
-        rho = prior(thread, g)
-        # Rules of g with equal support, fired and hit counts have equal stats
-        # and share one RuleStats, so writing the rules renders it once.
-        shared: dict[tuple[int, int, int], RuleStats] = {}
         for atoms, mask in candidate_preconditions(thread, g, params, frequent):
             explored += 1
             # p is a number: each mask meets a qualifying t <= t_max - 1.  The
             # walk keeps no mask below supp_lb, so the support gate holds.
-            if (p := counter.p(mask)) > rho and p >= params.min_prob:
-                rule = AptRule(Conjunction(atoms), g)
-                support, hits = mask.bit_count(), (mask & counter.qualifying).bit_count()
-                counts = support, (mask & counter.horizon).bit_count(), hits
-                stats = shared.get(counts)
-                if stats is None:
-                    stats = shared[counts] = RuleStats(p, counter.p_star(mask), rho, support)
-                rules.append((rule, stats))
+            if (p := counter.p(mask)) > counter.rho and p >= params.min_prob:
+                rules.append((AptRule(Conjunction(atoms), g), counter.stats(mask)))
 
     return ExtractionReport(
         rules=tuple(rules),

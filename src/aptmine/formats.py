@@ -358,7 +358,7 @@ def load_rules(
             where, quoted = f"{path}:{lineno}", _quoted(consequence)
             raise FormatError(f"{where}: rule consequence {quoted} may not appear in its own precondition")
         if rule.consequence not in action:
-            raise FormatError(f"{path}:{lineno}: consequence {consequence} is not an action atom")
+            raise FormatError(f"{path}:{lineno}: consequence {_clipped(consequence)} is not an action atom")
         if first_line.setdefault(rule, lineno) != lineno:
             raise FormatError(f"{path}:{lineno}: duplicate rule, first on line {first_line[rule]}")
         out.append((rule, stats))

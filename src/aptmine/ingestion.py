@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, field
 from typing import BinaryIO, Iterable, Iterator, Mapping
 
-from .formats import Reject, decode_utf8
+from .formats import Reject, _clipped, _quoted, decode_utf8
 from .model import RESERVED_CHAR, AptmineError, AtomRegistry, FormatError, Predicate, Thread
 from .spikes import SpikeConfig, spike_atoms
 
@@ -168,7 +168,7 @@ def parse_events(source: BinaryIO | io.TextIOBase) -> tuple[list[EventRecord], l
     except StopIteration:
         raise FormatError(f"{where}:1: event file is empty, expected header {expected}")
     if tuple(h.strip() for h in header) != EXPECTED_HEADER:
-        raise FormatError(f"{where}:1: bad header {header!r}, expected {expected}")
+        raise FormatError(f"{where}:1: bad header {_clipped(repr(header))}, expected {expected}")
 
     records: list[EventRecord] = []
     rejects: list[Reject] = []
@@ -212,12 +212,12 @@ def load_location_map(source: BinaryIO | io.TextIOBase) -> dict[str, str]:
         if not row:
             continue
         if len(row) != 2:
-            raise FormatError(f"{where}:{line}: expected city,theater, got {row!r}")
+            raise FormatError(f"{where}:{line}: expected city,theater, got {_clipped(repr(row))}")
         city, theater = (cell.strip() for cell in row)
         if theater not in THEATERS:
-            raise FormatError(f"{where}:{line}: theater must be one of {THEATERS}, got {theater!r}")
+            raise FormatError(f"{where}:{line}: theater must be one of {THEATERS}, got {_quoted(theater)}")
         if city in mapping and mapping[city] != theater:
-            raise FormatError(f"{where}:{line}: conflicting theater for {city!r}")
+            raise FormatError(f"{where}:{line}: conflicting theater for {_quoted(city)}")
         mapping[city] = theater
     return mapping
 

@@ -103,8 +103,8 @@ class AtomRegistry:
         self._atoms: list[GroundAtom] = []
         self._ids: dict[GroundAtom, AtomId] = {}
         self._arities: dict[str, int] = {}
-        self._action: set[AtomId] = set()
-        self._env: set[AtomId] = set()
+        self._action: set[AtomId] | frozenset[AtomId] = set()
+        self._env: set[AtomId] | frozenset[AtomId] = set()
         self._frozen = False
 
     def __len__(self) -> int:
@@ -116,6 +116,8 @@ class AtomRegistry:
 
     def freeze(self) -> "AtomRegistry":
         """Seal the registry against further mutation.  Returns self."""
+        # frozenset(s) is s for a frozenset s, so action_set and env_set stop copying.
+        self._action, self._env = frozenset(self._action), frozenset(self._env)
         self._frozen = True
         return self
 

@@ -17,8 +17,9 @@ Conventions, fixed here and mirrored by the brute-force oracle:
 ``ConsequenceCounter`` applies them to occurrence bitmasks: it is built
 once per consequence and is the only place that knows the horizon
 t <= t_max - 1 and the one-step shift from a consequence's times to the
-times that precede them.  The public statistics, extraction and both
-scoring paths all count through it.
+times that precede them.  It maps a mask to the mask's RuleStats, shared
+by every mask with the same support, fired and hit counts.  The public
+statistics, extraction and both scoring paths all count through it.
 """
 
 from __future__ import annotations
@@ -80,32 +81,40 @@ class ConsequenceCounter:
 
     horizon     times t <= t_max - 1, the times with a successor world
     qualifying  the horizon times whose successor world holds the consequence
-    goal        occurrences of the consequence
+    goal        occurrences of the consequence; rho = goal / t_max is its prior
 
-    A mask's support is mask.bit_count() and its hits are
-    (mask & qualifying).bit_count(), since qualifying lies inside horizon.
+    A mask's support, fired count and hits are its bits in all, in horizon
+    and in qualifying, which lies inside horizon.
     """
 
-    __slots__ = ("horizon", "qualifying", "goal")
+    __slots__ = ("horizon", "qualifying", "goal", "rho", "_shared")
 
     def __init__(self, thread: Thread, consequence: AtomId) -> None:
         occurs = thread.time_mask(consequence)
         self.horizon = low_time_mask(thread.t_max - 1)
         self.qualifying = occurs >> 1
         self.goal = occurs.bit_count()
+        self.rho = self.goal / thread.t_max
+        self._shared: dict[tuple[int, int, int], RuleStats] = {}
 
     def p(self, mask: int) -> float | None:
         """P(consequence next | mask now), over the mask's times t <= t_max - 1."""
         fired = (mask & self.horizon).bit_count()
         return (mask & self.qualifying).bit_count() / fired if fired else None
 
-    def p_star(self, mask: int) -> float | None:
-        """Fraction of the consequence's occurrences not preceded by a mask time."""
-        if not self.goal:
-            return None
-        # An occurrence at t is preceded exactly when the mask held at
-        # t - 1 <= t_max - 1, which is one hit; an occurrence at t = 1 never is.
-        return (self.goal - (mask & self.qualifying).bit_count()) / self.goal
+    def stats(self, mask: int) -> RuleStats:
+        """The mask's four statistics, one RuleStats per distinct (support, fired, hits)."""
+        horizon, qualifying = self.horizon, self.qualifying
+        counts = mask.bit_count(), (mask & horizon).bit_count(), (mask & qualifying).bit_count()
+        stats = self._shared.get(counts)
+        if stats is None:
+            support, fired, hits = counts
+            # An occurrence at t is preceded exactly when the mask held at
+            # t - 1 <= t_max - 1, which is one hit; an occurrence at t = 1 never is.
+            p_star = (self.goal - hits) / self.goal if self.goal else None
+            p = hits / fired if fired else None
+            stats = self._shared[counts] = RuleStats(p, p_star, self.rho, support)
+        return stats
 
 
 def rule_probability(
@@ -119,7 +128,8 @@ def negative_probability(
     thread: Thread, precondition: Conjunction, consequence: AtomId
 ) -> float | None:
     """Fraction of the consequence's occurrences not preceded by the precondition."""
-    return ConsequenceCounter(thread, consequence).p_star(thread.times_mask(precondition.atoms))
+    mask = thread.times_mask(precondition.atoms)
+    return ConsequenceCounter(thread, consequence).stats(mask).p_star
 
 
 def support(thread: Thread, precondition: Conjunction) -> int:
@@ -130,10 +140,4 @@ def support(thread: Thread, precondition: Conjunction) -> int:
 def evaluate_rule(thread: Thread, rule: AptRule) -> RuleStats:
     """All four statistics in one bundle."""
     mask = thread.times_mask(rule.precondition.atoms)
-    counter = ConsequenceCounter(thread, rule.consequence)
-    return RuleStats(
-        p=counter.p(mask),
-        p_star=counter.p_star(mask),
-        rho=prior(thread, rule.consequence),
-        support=mask.bit_count(),
-    )
+    return ConsequenceCounter(thread, rule.consequence).stats(mask)

@@ -341,8 +341,10 @@ def test_ingest_lists_build_rejects_by_line(tmp_path):
         ('2014-06-09,recon,"Mos\nul",x\n',
          "all 1 rows rejected; first: line 2, wrong field count 2014-06-09,recon,Mos ul,x"),
         ("", "the file has no event rows"),
+        ("D" * 100 + ",recon,Mosul,,x\n",
+         "all 1 rows rejected; first: line 2, unparseable date " + "D" * 32 + "... (100 characters)"),
     ],
-    ids=["before-epoch", "mixed-reasons", "quoted-newline", "header-only"],
+    ids=["before-epoch", "mixed-reasons", "quoted-newline", "header-only", "long-detail"],
 )
 def test_ingest_says_why_every_row_was_rejected(tmp_path, rows, message):
     events = tmp_path / "events.csv"

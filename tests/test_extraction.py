@@ -19,6 +19,7 @@ from aptmine import (
     Thread,
     brute_force_extract,
     candidate_preconditions,
+    evaluate_rule,
     frequent_env_atoms,
     generate_synthetic,
     pf_rule_extract,
@@ -26,7 +27,15 @@ from aptmine import (
     subset_count,
 )
 
-from conftest import random_corpus, random_params
+from aptmine.model import Atom
+from aptmine.oracle import (
+    exact_negative_probability,
+    exact_prior,
+    exact_rule_probability,
+    exact_support,
+)
+
+from conftest import corpora, random_corpus, random_params
 
 DEFAULTS = ExtractParams()
 
@@ -257,6 +266,36 @@ def test_every_extracted_rule_clears_the_gates(seed):
         assert stats.support >= params.supp_lb
         assert stats.p > stats.rho
         assert stats.p >= params.min_prob
+
+
+@settings(deadline=None)
+@given(
+    corpus=corpora(),
+    max_dim=st.integers(min_value=1, max_value=3),
+    supp_lb=st.integers(min_value=1, max_value=3),
+    min_prob=st.sampled_from((0.0, 0.25, 0.5)),
+)
+def test_rules_with_equal_counts_share_the_stats_evaluate_rule_gives(corpus, max_dim, supp_lb, min_prob):
+    thread, registry = corpus
+    report = pf_rule_extract(thread, registry, ExtractParams(max_dim, supp_lb, min_prob))
+    first: dict[tuple[int, int, int, int], RuleStats] = {}
+    for rule, stats in report.rules:
+        assert evaluate_rule(thread, rule) == stats
+        atoms, g = rule.precondition.atoms, rule.consequence
+        exact = (
+            exact_rule_probability(thread, atoms, g),
+            exact_negative_probability(thread, atoms, g),
+            exact_prior(thread, Atom(g)),
+        )
+        for value, fraction in zip((stats.p, stats.p_star, stats.rho), exact):
+            assert abs(value - fraction) <= 1e-12
+        assert stats.support == exact_support(thread, atoms)
+        times = [t for t in range(1, thread.t_max + 1) if set(atoms) <= thread.world(t)]
+        fired = [t for t in times if t < thread.t_max]
+        hits = sum(g in thread.world(t + 1) for t in fired)
+        assert first.setdefault((g, len(times), len(fired), hits), stats) is stats
+    # Rules whose counts differ hold different objects.
+    assert len({id(stats) for stats in first.values()}) == len(first)
 
 
 def test_planted_two_atom_rule_is_extracted_at_defaults():

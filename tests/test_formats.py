@@ -316,6 +316,22 @@ def test_rule_consequence_must_be_an_action_atom(tmp_path, t1):
         load_rules(path, registry)
 
 
+def test_a_long_non_action_consequence_is_clipped(tmp_path):
+    registry = AtomRegistry()
+    a, b = registry.intern(Predicate("a", 0)), registry.intern(Predicate("b" * 98, 0))
+    registry.mark_env(a)
+    registry.mark_env(b)  # environmental only, so it may head no rule
+    registry.freeze()
+    name = registry.render(b)
+    assert len(name) == 100
+    path = tmp_path / "bad.rules"
+    path.write_text(f"{RULES_MAGIC}\nparams\n0.5\t0.5\t0.0\t1\t{name}\t1\ta()\n")
+    with pytest.raises(FormatError) as raised:
+        load_rules(path, registry)
+    named = "b" * 32 + "... (100 characters)"
+    assert str(raised.value) == f"{path}:3: consequence {named} is not an action atom"
+
+
 @pytest.mark.parametrize(
     "name, named",
     [("g", "'g()'"), ("g" * 40, repr("g" * 32) + "... (42 characters)")],

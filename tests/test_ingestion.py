@@ -434,6 +434,32 @@ def test_bad_utf8_is_a_format_error_naming_the_line(parse, data, where):
         parse(_Unseekable(data))
 
 
+def _clip(text):
+    return f"{text[:32]}... ({len(text)} characters)"
+
+
+@pytest.mark.parametrize(
+    "parse, data, message",
+    [
+        (parse_events, "x" * 100 + ",what\n",
+         f"event file:1: bad header {_clip(repr(['x' * 100, 'what']))}, "
+         "expected date,predicate,arg1,arg2,actor"),
+        (load_location_map, "c" * 100 + "\n",
+         f"location map:1: expected city,theater, got {_clip(repr(['c' * 100]))}"),
+        (load_location_map, "Mosul," + "N" * 100 + "\n",
+         f"location map:1: theater must be one of ('Iraq', 'Syria'), got {repr('N' * 32)}"
+         "... (100 characters)"),
+        (load_location_map, "C" * 100 + ",Iraq\n" + "C" * 100 + ",Syria\n",
+         f"location map:2: conflicting theater for {repr('C' * 32)}... (100 characters)"),
+    ],
+    ids=["header", "row", "theater", "city"],
+)
+def test_diagnostics_clip_a_long_input(parse, data, message):
+    with pytest.raises(FormatError) as raised:
+        parse(io.StringIO(data))
+    assert str(raised.value) == message
+
+
 def test_location_map_errors_name_the_line_their_row_starts_on():
     # The quoted city spans lines 1-2, so the bad theater is on line 3.
     with pytest.raises(FormatError, match="map:3: theater"):

@@ -112,6 +112,22 @@ def test_frozen_registry_blocks_mutation_but_not_reads():
         registry.mark_env(a)
 
 
+def test_a_frozen_registry_hands_out_its_sets_without_copying():
+    registry = AtomRegistry()
+    a, b = registry.intern(Predicate("a", 0)), registry.intern(Predicate("b", 0))
+    registry.mark_env(a)
+    registry.mark_action(b)
+    assert registry.env_set is not registry.env_set  # a copy, while marks may still change
+    registry.freeze()
+    assert registry.env_set is registry.env_set == {a}
+    assert registry.action_set is registry.action_set == {b}
+    with pytest.raises(FrozenRegistryError):
+        registry.mark_action(a)
+    with pytest.raises(FrozenRegistryError):
+        registry.mark_env(b)
+    assert registry.env_set == {a} and registry.action_set == {b}
+
+
 # --------------------------------------------------------------- threads
 
 

@@ -104,19 +104,20 @@ def test_evaluate_rule_bundles_all_four(t1):
 def test_consequence_counter_on_worked_example(t1):
     thread, registry, a, b, g = t1
     to_g = ConsequenceCounter(thread, g)
-    assert (to_g.horizon, to_g.goal) == (0b11111, 2)
+    assert (to_g.horizon, to_g.goal, to_g.rho) == (0b11111, 2, 1 / 3)
     assert to_g.qualifying == thread.time_mask(g) >> 1
     # hits = (mask & qualifying).bit_count(); p = hits / fired, p* = (goal - hits) / goal
     b_mask, ab_mask = thread.times_mask([b]), thread.times_mask([a, b])
-    assert (b_mask.bit_count(), to_g.p(b_mask), to_g.p_star(b_mask)) == (3, 2 / 3, 0.0)
-    assert (ab_mask.bit_count(), to_g.p(ab_mask), to_g.p_star(ab_mask)) == (1, 1.0, 1 / 2)
+    assert to_g.stats(b_mask) == RuleStats(2 / 3, 0.0, 1 / 3, 3)
+    assert to_g.stats(ab_mask) == RuleStats(1.0, 1 / 2, 1 / 3, 1)
+    assert to_g.p(b_mask) == 2 / 3 and to_g.p(ab_mask) == 1.0
     to_a = ConsequenceCounter(thread, a)
-    g_mask = thread.times_mask([g])
-    assert (g_mask.bit_count(), to_a.p(g_mask), to_a.p_star(g_mask)) == (2, 0.0, 1.0)
+    assert to_a.stats(thread.times_mask([g])) == RuleStats(0.0, 1.0, 1 / 3, 2)
     # An occurrence at t_max counts for support but never fires.
     last = ConsequenceCounter(Thread([{1}, set(), {0}]), 1)
-    only_last = 0b100
-    assert (only_last.bit_count(), last.p(only_last), last.p_star(only_last)) == (1, None, 1.0)
+    assert last.stats(0b100) == RuleStats(None, 1.0, 1 / 3, 1) and last.p(0b100) is None
+    # A mask asked for again gets the same object back.
+    assert to_g.stats(b_mask) is to_g.stats(b_mask)
 
 
 def test_rule_rejects_consequence_in_precondition():
@@ -201,7 +202,10 @@ def test_consequence_counter_matches_a_scan_of_the_worlds(corpus, data):
     exact_ps = Fraction(unpreceded, len(goal)) if goal else None
 
     assert counter.p(mask) == (None if exact_p is None else float(exact_p))
-    assert counter.p_star(mask) == (None if exact_ps is None else float(exact_ps))
+    stats = counter.stats(mask)
+    assert stats.p == counter.p(mask)
+    assert stats.p_star == (None if exact_ps is None else float(exact_ps))
+    assert stats.rho == len(goal) / t_max and stats.support == len(times)
     assert (mask & counter.qualifying).bit_count() == hits
     assert counter.goal == len(goal)
 
