@@ -50,7 +50,7 @@ config = CorpusConfig(
     spike_config=SpikeConfig(window=4, thresholds=(1.0, 2.0)),
 )
 
-events, parse_rejects = parse_events(io.StringIO(csv_text))
+events, parse_rejects = parse_events(io.BytesIO(csv_text.encode()))
 corpus, build_rejects = build_corpus(events, config)
 
 print(f"parsed {len(events)} events; {len(parse_rejects)} parse reject(s), "

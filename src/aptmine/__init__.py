@@ -21,13 +21,12 @@ _EXPORTS = {
     " FrozenRegistryError GroundAtom Predicate Thread TimeIndexError",
     "stats": "AptRule RuleStats evaluate_rule negative_probability prior rule_probability"
     " rule_sort_key support",
-    "spikes": "SpikeConfig spike_atoms",
     "extraction": "EmptyConsequenceError ExtractParams ExtractionReport candidate_preconditions"
     " frequent_env_atoms pf_rule_extract subset_count",
     "causality": "PairProbs ScoredRule UnrelatedRulesError causal_scores pair_probs"
     " pf_rule_compare related",
-    "ingestion": "BuiltCorpus CorpusConfig EmptyCorpusError EventRecord build_corpus"
-    " load_location_map parse_events",
+    "ingestion": "BuiltCorpus CorpusConfig EmptyCorpusError EventRecord SpikeConfig build_corpus"
+    " load_location_map parse_events spike_atoms",
     "formats": "Reject load_rules load_scored load_thread save_counts save_rejects save_rules"
     " save_scored save_thread",
     "oracle": "OracleGuardError PlantedRule SynthSpec brute_force_extract brute_force_scores"

@@ -19,6 +19,7 @@ from .causality import pf_rule_compare
 from .extraction import ExtractParams, pf_rule_extract
 from .formats import (
     _clipped,
+    _quoted,
     load_rules,
     load_scored,
     load_thread,
@@ -32,57 +33,61 @@ from .formats import (
 from .ingestion import (
     CorpusConfig,
     EmptyCorpusError,
+    SpikeConfig,
     build_corpus,
     load_location_map,
     parse_date,
     parse_events,
 )
 from .model import AptmineError
-from .spikes import SpikeConfig
 
 
 def _parse_thresholds(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(part) for part in text.split(",") if part)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad thresholds {text!r}, expected e.g. 1,2")
+        raise argparse.ArgumentTypeError(f"bad thresholds {_quoted(text)}, expected e.g. 1,2")
 
 
 def _parse_date(text: str) -> dt.date:
     try:
         return parse_date(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad date {text!r}, expected YYYY-MM-DD")
+        raise argparse.ArgumentTypeError(f"bad date {_quoted(text)}, expected YYYY-MM-DD")
 
 
 def _parse_k(text: str):
     if text.lower() == "all":
         return None
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad k {text!r}, expected a positive integer or 'all'")
-    if value < 1:
-        raise argparse.ArgumentTypeError("k must be positive")
-    return value
+        return _positive_int(text)
+    except argparse.ArgumentTypeError:
+        raise argparse.ArgumentTypeError(f"bad k {_quoted(text)}, expected a positive integer or 'all'")
 
 
 def _parse_plant(text: str) -> tuple[tuple[int, ...], float, int]:
-    # IDX[,IDX...]:FIRE_PROB:PLACEMENTS e.g. 0,3:0.9:20
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"bad plant {text!r}, expected IDX[,IDX..]:PROB:PLACEMENTS")
+    # IDX[,IDX...]:FIRE_PROB:PLACEMENTS e.g. 0,3:0.9:20; a wrong part count fails the unpacking
     try:
-        atoms = tuple(int(p) for p in parts[0].split(","))
-        prob = float(parts[1])
-        placements = int(parts[2])
+        atoms, prob, placements = text.split(":")
+        return tuple(int(p) for p in atoms.split(",")), float(prob), int(placements)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad plant {text!r}, expected IDX[,IDX..]:PROB:PLACEMENTS")
-    return atoms, prob, placements
+        raise argparse.ArgumentTypeError(f"bad plant {_quoted(text)}, expected IDX[,IDX..]:PROB:PLACEMENTS")
+
+
+def _number(kind: type):
+    """An argparse type for int or float whose error quotes at most 32 characters of the value."""
+
+    def parse(text: str):
+        try:
+            return kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {_quoted(text)}")
+
+    return parse
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    value = _number(int)(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
     return value
@@ -118,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     mine.add_argument("--out", type=Path, required=True)
     mine.add_argument("--max-dim", type=_positive_int, default=3)
     mine.add_argument("--supp-lb", type=_positive_int, default=3)
-    mine.add_argument("--min-prob", type=float, default=0.5)
+    mine.add_argument("--min-prob", type=_number(float), default=0.5)
     mine.set_defaults(func=_cmd_mine)
 
     compare = sub.add_parser("compare", help="rules + thread -> scored rules file")
@@ -135,10 +140,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     synth = sub.add_parser("synth", help="generate a synthetic thread file")
     synth.add_argument("--out", type=Path, required=True)
-    synth.add_argument("--seed", type=int, default=0)
+    synth.add_argument("--seed", type=_number(int), default=0)
     synth.add_argument("--n-env", type=_positive_int, default=12)
     synth.add_argument("--t-max", type=_positive_int, default=60)
-    synth.add_argument("--density", type=float, default=0.1)
+    synth.add_argument("--density", type=_number(float), default=0.1)
     synth.add_argument(
         "--plant",
         action="append",

@@ -1,25 +1,34 @@
 """Event ingestion: CSV parsing, period bucketing, theater aggregation,
 spike detection, and thread/registry construction.
 
+Both CSV readers take a binary stream, read it as UTF-8 and leave it open.
 Parsing and building never drop a row silently: anything unusable lands in
 a reject report with the CSV line its row starts on and a reason.  Only a
 bad header, CSV syntax or UTF-8 is a hard failure.  Corpora are independent
 of the input row order: each distinct atom is interned once, by (first
 period, predicate, args), so equal event multisets yield bit-identical threads.
+
+A period spikes at threshold k when its count reaches the trailing moving
+average plus k moving (population) standard deviations, and strictly
+exceeds the moving average.  The window covers the previous ``window``
+periods only, never the current one, so nothing can be emitted before
+period window + 1.  Thresholds are cumulative: a count clearing the 2.0
+threshold also clears 1.0 and yields both emissions.  k is the decimal
+``repr(k)`` spells, and the test runs in integers, so a count that exactly
+reaches the threshold spikes on every Python.
 """
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import io
+import math
 import re
 from dataclasses import dataclass, field
-from typing import BinaryIO, Iterable, Iterator, Mapping
+from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
 
 from .formats import Reject, _clipped, _quoted, decode_utf8
 from .model import RESERVED_CHAR, AptmineError, AtomRegistry, FormatError, Predicate, Thread
-from .spikes import SpikeConfig, spike_atoms
 
 EXPECTED_HEADER = ("date", "predicate", "arg1", "arg2", "actor")
 THEATERS = ("Iraq", "Syria")
@@ -44,6 +53,22 @@ class EventRecord:
     predicate: str
     args: tuple[str, ...]
     line: int
+
+
+@dataclass(frozen=True, slots=True)
+class SpikeConfig:
+    window: int = 4
+    thresholds: tuple[float, ...] = (1.0, 2.0)
+
+    def __post_init__(self) -> None:
+        if self.window < 1:
+            raise ValueError(f"window must be at least 1, got {self.window}")
+        if not self.thresholds:
+            raise ValueError("at least one threshold is required")
+        if not all(0 < k < math.inf for k in self.thresholds):
+            raise ValueError(f"thresholds must be positive and finite, got {_clipped(str(self.thresholds))}")
+        if tuple(sorted(set(self.thresholds))) != self.thresholds:
+            raise ValueError(f"thresholds must be strictly ascending, got {_clipped(str(self.thresholds))}")
 
 
 @dataclass(frozen=True)
@@ -88,14 +113,7 @@ class BuiltCorpus:
     count_series: Mapping[tuple[str, str], tuple[int, ...]] = field(default_factory=dict)
 
 
-def _text_stream(source: BinaryIO | io.TextIOBase) -> io.TextIOBase:
-    """A binary stream decoded as UTF-8 text, BOM dropped, for the csv module."""
-    if isinstance(source, (io.RawIOBase, io.BufferedIOBase)) or "b" in getattr(source, "mode", ""):
-        return io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
-    return source
-
-
-def _source_name(source: BinaryIO | io.TextIOBase, default: str) -> str:
+def _source_name(source: BinaryIO, default: str) -> str:
     """The file name an opened stream carries, for diagnostics, else the default."""
     name = getattr(source, "name", None)
     return name if isinstance(name, str) else default
@@ -108,14 +126,16 @@ def parse_date(text: str) -> dt.date:
     return dt.date.fromisoformat(text)
 
 
-def _csv_rows(source: BinaryIO | io.TextIOBase, where: str) -> Iterator[tuple[int, list[str]]]:
-    """The stream's CSV rows, each with the line it starts on.
+def _csv_rows(source: BinaryIO, where: str) -> Iterator[tuple[int, list[str]]]:
+    """The binary stream's CSV rows, each with the line it starts on.
 
     A csv.Error becomes a FormatError naming where:line, and so does bad
-    UTF-8 in a seekable binary stream; elsewhere it names only where.  A
-    binary stream is left open for the caller, however the rows end.
+    UTF-8 in a seekable stream; elsewhere it names only where.  The stream
+    is left open for the caller, however the rows end.
     """
-    text = _text_stream(source)
+    import csv  # here so that the commands that read no CSV skip it
+
+    text = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
     reader = csv.reader(text)
     line = 1
     try:
@@ -125,12 +145,12 @@ def _csv_rows(source: BinaryIO | io.TextIOBase, where: str) -> Iterator[tuple[in
     except csv.Error as exc:
         raise FormatError(f"{where}:{reader.line_num}: {exc}") from None
     except UnicodeDecodeError as exc:
-        if text is not source and source.seekable():
+        if source.seekable():
             source.seek(0)
             decode_utf8(where, source.read())  # raises, naming the first bad line
         raise FormatError(f"{where}: not valid UTF-8 ({exc.reason})") from None
     finally:
-        if text is not source:
+        if not source.closed:  # else the caller closed it before this generator was finalised
             text.detach()  # a dropped wrapper would close the caller's stream
 
 
@@ -148,7 +168,7 @@ def _name_reject(row: list[str], predicate: str, arg1: str, arg2: str) -> tuple[
     return None
 
 
-def parse_events(source: BinaryIO | io.TextIOBase) -> tuple[list[EventRecord], list[Reject]]:
+def parse_events(source: BinaryIO) -> tuple[list[EventRecord], list[Reject]]:
     """Read the event CSV: header ``date,predicate,arg1,arg2,actor``.
 
     Returns the parsed records and the rejects.  Raises FormatError only
@@ -201,7 +221,7 @@ def parse_events(source: BinaryIO | io.TextIOBase) -> tuple[list[EventRecord], l
     return records, rejects
 
 
-def load_location_map(source: BinaryIO | io.TextIOBase) -> dict[str, str]:
+def load_location_map(source: BinaryIO) -> dict[str, str]:
     """Read a ``city,theater`` file; theater must be Iraq or Syria.
 
     A bad row raises FormatError naming the stream's file and the line.
@@ -227,6 +247,33 @@ def sigma_label(threshold: float) -> str:
     return f"{threshold:g}sigma"
 
 
+def spike_atoms(counts: Sequence[int], config: SpikeConfig) -> list[tuple[int, float]]:
+    """The ``(period, threshold)`` spikes of a count series (period 1 first),
+    ordered by period, then threshold.
+
+    Periods 1..window are never emitted, and neither is a count equal to a
+    flat window's value (sigma = 0), because the count must strictly exceed
+    the moving average.  With S and Q the sum and the sum of squares of the
+    w window counts and k = p/q, count c spikes at k iff w*c - S > 0 and
+    (q*(w*c - S))**2 >= p**2 * (w*Q - S**2): the float test times w*q, squared.
+    """
+    # Imported here so that the commands that never detect spikes skip fractions and decimal.
+    from fractions import Fraction
+
+    w = config.window
+    ratios = [(k, *Fraction(repr(k)).as_integer_ratio()) for k in config.thresholds]
+    out: list[tuple[int, float]] = []
+    for t in range(w + 1, len(counts) + 1):
+        recent = counts[t - 1 - w : t - 1]
+        total = sum(recent)
+        excess = w * counts[t - 1] - total
+        if excess <= 0:
+            continue
+        spread = w * sum(c * c for c in recent) - total * total
+        out.extend((t, k) for k, p, q in ratios if (q * excess) ** 2 >= p * p * spread)
+    return out
+
+
 def build_corpus(
     events: Iterable[EventRecord], config: CorpusConfig
 ) -> tuple[BuiltCorpus, list[Reject]]:
@@ -247,7 +294,7 @@ def build_corpus(
     series_predicates = set(config.spike_series) if config.spike_series is not None else predicates
     unknown = sorted(series_predicates - predicates)
     if unknown:
-        raise ValueError(f"spike_series names predicates that no event has: {', '.join(unknown)}")
+        raise ValueError(f"spike_series names predicates that no event has: {_clipped(', '.join(unknown))}")
 
     rejects: list[Reject] = []
     periods_of: dict[dt.date, int] = {}  # date -> its period, 0 before the epoch

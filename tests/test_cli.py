@@ -185,6 +185,7 @@ def test_ingest_diagnostics_name_the_file_and_line(tmp_path, events, locations, 
         "--epoch", "2014-06-08", "--out", out,
     )
     assert result.returncode == 1
+    assert len(result.stderr.splitlines()) == 1, result.stderr
     assert re.search(rf"^error: \S*{message}", result.stderr), result.stderr
     assert not out.exists()
 
@@ -365,6 +366,32 @@ def test_ingest_epoch_must_be_year_month_day(tmp_path, epoch):
                  "--epoch", epoch, "--out", out)
     assert result.returncode == 2
     assert "expected YYYY-MM-DD" in result.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("mine", flag) for flag in ("--max-dim", "--supp-lb", "--min-prob")]
+    + [("compare", "--k")]
+    + [("ingest", flag) for flag in ("--period-days", "--window", "--epoch", "--thresholds", "--spike-series")]
+    + [("synth", flag) for flag in ("--seed", "--n-env", "--t-max", "--density", "--plant")],
+)
+def test_a_long_flag_value_is_quoted_briefly(tmp_path, command, flag):
+    (tmp_path / "events.csv").write_text("date,predicate,arg1,arg2,actor\n2014-06-08,recon,Mosul,,\n")
+    (tmp_path / "locations.csv").write_text("Mosul,Iraq\n")
+    inputs = {
+        "mine": [tmp_path / "in.thread"],
+        "compare": [tmp_path / "in.rules", tmp_path / "in.thread"],
+        "ingest": [tmp_path / "events.csv", "--location-map", tmp_path / "locations.csv",
+                   "--epoch", "2014-06-08"],
+        "synth": [],
+    }[command]
+    out = tmp_path / "never.out"
+    result = run(command, *inputs, "--out", out, flag, "x" * 5000)
+    assert result.returncode == (1 if flag == "--spike-series" else 2), result.stderr[-300:]
+    # argparse prints its usage text first; the diagnostic is the last line.
+    last = result.stderr.splitlines()[-1]
+    assert flag.lstrip("-") in last.replace("_", "-") and len(last.encode()) <= 200, last[:300]
     assert not out.exists()
 
 
@@ -561,12 +588,13 @@ def modules_after(statement):
 
 
 def test_cli_import_leaves_the_oracle_and_fractions_unloaded():
-    # Only synth uses the oracle, and only spike detection needs fractions (which loads decimal).
-    assert not modules_after("import aptmine.cli") & {"aptmine.oracle", "fractions", "decimal"}
+    # Only synth uses the oracle, only spike detection needs fractions (which loads decimal),
+    # and only ingest reads CSV.
+    assert not modules_after("import aptmine.cli") & {"aptmine.oracle", "fractions", "decimal", "csv"}
 
 
 def test_formats_import_loads_only_the_model_and_stats():
-    # Not ingestion, spikes or causality: the codec depends on nothing above it.
+    # Not ingestion or causality: the codec depends on nothing above it.
     loaded = modules_after("import aptmine.formats")
     assert {m for m in loaded if m.startswith("aptmine.")} == {"aptmine.formats", "aptmine.model", "aptmine.stats"}
     assert "csv" not in loaded

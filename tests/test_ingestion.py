@@ -4,6 +4,7 @@ import datetime as dt
 import gc
 import io
 import random
+import sys
 
 import pytest
 
@@ -31,7 +32,7 @@ def config(**overrides):
 
 
 def events_csv(*rows):
-    return io.StringIO("\n".join([",".join(EXPECTED_HEADER), *rows]) + "\n")
+    return io.BytesIO(("\n".join([",".join(EXPECTED_HEADER), *rows]) + "\n").encode())
 
 
 def day(offset):
@@ -64,16 +65,15 @@ def test_parse_happy_path():
 def test_parse_accepts_binary_streams():
     raw = "date,predicate,arg1,arg2,actor\n2014-06-08,recon,Mosul,,\n"
     from_binary, _ = parse_events(io.BytesIO(raw.encode()))
-    from_text, _ = parse_events(io.StringIO(raw))
     from_bom, _ = parse_events(io.BytesIO(b"\xef\xbb\xbf" + raw.encode()))
-    assert from_binary == from_text == from_bom
+    assert from_binary == from_bom
 
 
 def test_parse_rejects_bad_header():
     with pytest.raises(FormatError, match="header"):
-        parse_events(io.StringIO("when,what,a,b,who\n"))
+        parse_events(io.BytesIO(b"when,what,a,b,who\n"))
     with pytest.raises(FormatError, match="empty"):
-        parse_events(io.StringIO(""))
+        parse_events(io.BytesIO(b""))
 
 
 def test_parse_skips_blank_lines():
@@ -394,15 +394,15 @@ def test_config_validation():
 
 
 def test_load_location_map():
-    mapping = load_location_map(io.StringIO("Mosul,Iraq\nRaqqa,Syria\n\nMosul,Iraq\n"))
+    mapping = load_location_map(io.BytesIO(b"Mosul,Iraq\nRaqqa,Syria\n\nMosul,Iraq\n"))
     assert mapping == {"Mosul": "Iraq", "Raqqa": "Syria"}
     assert load_location_map(io.BytesIO(b"\xef\xbb\xbfMosul,Iraq\n")) == {"Mosul": "Iraq"}
     with pytest.raises(FormatError, match="city,theater"):
-        load_location_map(io.StringIO("Mosul\n"))
+        load_location_map(io.BytesIO(b"Mosul\n"))
     with pytest.raises(FormatError, match="theater"):
-        load_location_map(io.StringIO("Mosul,Atlantis\n"))
+        load_location_map(io.BytesIO(b"Mosul,Atlantis\n"))
     with pytest.raises(FormatError, match="conflicting"):
-        load_location_map(io.StringIO("Mosul,Iraq\nMosul,Syria\n"))
+        load_location_map(io.BytesIO(b"Mosul,Iraq\nMosul,Syria\n"))
 
 
 class _Unseekable(io.BytesIO):
@@ -456,14 +456,14 @@ def _clip(text):
 )
 def test_diagnostics_clip_a_long_input(parse, data, message):
     with pytest.raises(FormatError) as raised:
-        parse(io.StringIO(data))
+        parse(io.BytesIO(data.encode()))
     assert str(raised.value) == message
 
 
 def test_location_map_errors_name_the_line_their_row_starts_on():
     # The quoted city spans lines 1-2, so the bad theater is on line 3.
     with pytest.raises(FormatError, match="map:3: theater"):
-        load_location_map(io.StringIO('"Mos\nul",Iraq\nRaqqa,Atlantis\n'))
+        load_location_map(io.BytesIO(b'"Mos\nul",Iraq\nRaqqa,Atlantis\n'))
 
 
 @pytest.mark.parametrize(
@@ -491,3 +491,30 @@ def test_parsers_leave_a_binary_stream_open(parse, data, fails):
     assert not stream.closed
     stream.seek(0)
     assert stream.read() == data
+
+
+@pytest.mark.parametrize("parse", [parse_events, load_location_map])
+def test_parsers_refuse_a_text_stream_and_leave_it_open(parse):
+    stream = io.StringIO("date,predicate,arg1,arg2,actor\n")
+    with pytest.raises(TypeError, match="bytes-like object"):
+        parse(stream)
+    gc.collect()
+    assert not stream.closed
+
+
+def test_a_failed_parse_finalises_nothing_after_the_caller_closes_the_file(tmp_path, monkeypatch):
+    # The traceback keeps parse_events' frame, and with it the suspended row reader,
+    # alive past the caller's with block; finalising it then must not touch the closed file.
+    path = tmp_path / "events.csv"
+    path.write_bytes(b"when,what,a,b,who\n" + _EVENT)
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with open(path, "rb") as fh:
+        try:
+            parse_events(fh)
+        except FormatError as exc:
+            error = exc
+    assert "bad header" in str(error)
+    del error
+    gc.collect()
+    assert [hook.exc_value for hook in unraisable] == []

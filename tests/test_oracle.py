@@ -279,7 +279,7 @@ def test_engine_ingest_matches_the_reference(source, period_days, window, thresh
     text, data = source
     config = CorpusConfig(
         epoch=EPOCH,
-        location_map=load_location_map(io.StringIO(MAP_TEXT)),
+        location_map=load_location_map(io.BytesIO(MAP_TEXT.encode())),
         period_days=period_days,
         spike_config=SpikeConfig(window=window, thresholds=thresholds),
         spike_series=spike_series,

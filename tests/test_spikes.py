@@ -63,6 +63,9 @@ def test_spike_config_validation():
         SpikeConfig(thresholds=(2.0, 1.0))
     with pytest.raises(ValueError, match="ascending"):
         SpikeConfig(thresholds=(1.0, 1.0))
+    # A long --thresholds list is echoed clipped, as every diagnostic clips.
+    with pytest.raises(ValueError, match=r"ascending, got \(1\.0, 1\.0, .*\.\.\. \(15000 characters\)$"):
+        SpikeConfig(thresholds=(1.0,) * 3000)
 
 
 counts_series = st.lists(st.integers(min_value=0, max_value=50), min_size=5, max_size=40)
