@@ -1,10 +1,11 @@
 """Command line interface: ingest, mine, compare, report, synth.
 
-Outputs are written atomically after all computation succeeds, so a failed
+Once a command's computation succeeds, each output is streamed a line at a
+time to a temp file that is moved into place when complete, so a failed
 invocation leaves no partial files, and a command refuses an output path
 that names one of its inputs or another of its outputs.  Exit codes: 0 on
 success, 1 on any domain or I/O error (diagnostic on stderr), 2 on usage
-errors (argparse).
+errors (argparse).  A diagnostic quotes a long argument or path briefly.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import datetime as dt
 import sys
 from pathlib import Path
+from typing import Iterator
 
 from . import __version__
 from .causality import pf_rule_compare
@@ -74,27 +76,47 @@ def _parse_plant(text: str) -> tuple[tuple[int, ...], float, int]:
         raise argparse.ArgumentTypeError(f"bad plant {_quoted(text)}, expected IDX[,IDX..]:PROB:PLACEMENTS")
 
 
-def _number(kind: type):
-    """An argparse type for int or float whose error quotes at most 32 characters of the value."""
-
-    def parse(text: str):
-        try:
-            return kind(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {_quoted(text)}")
-
-    return parse
-
-
 def _positive_int(text: str) -> int:
-    value = _number(int)(text)
+    try:
+        value = int(text)
+    except ValueError:  # worded as argparse words it for type=int
+        raise argparse.ArgumentTypeError(f"invalid int value: {_quoted(text)}")
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors quote an argument as file diagnostics do.
+
+    Its subparsers are of this class too.
+    """
+
+    _args: tuple[str, ...] = ()
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._args = tuple(sys.argv[1:] if args is None else args)
+        return super().parse_known_args(self._args, namespace)
+
+    def error(self, message: str):
+        # argparse names a refused argument whole, as given or by its repr, or
+        # only its value after "=" or after a one-letter flag ("-hVALUE").
+        parts = {part for arg in self._args for part in (arg, arg.partition("=")[2], arg[2:])}
+        for part in sorted(parts, key=len, reverse=True):
+            message = message.replace(repr(part), _quoted(part)).replace(part, _clipped(part))
+        super().error(message)
+
+
+def _named(path: str | Path, show=str) -> str:
+    """show(path) whole while that takes at most 120 bytes, else clipped by formats._clipped."""
+    shown = show(str(path))
+    if len(shown.encode("utf-8", "surrogatepass")) <= 120:
+        return shown
+    return _clipped(str(path), show)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="aptmine",
         description="Mine and rank temporal rules over event threads.",
     )
@@ -123,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     mine.add_argument("--out", type=Path, required=True)
     mine.add_argument("--max-dim", type=_positive_int, default=3)
     mine.add_argument("--supp-lb", type=_positive_int, default=3)
-    mine.add_argument("--min-prob", type=_number(float), default=0.5)
+    mine.add_argument("--min-prob", type=float, default=0.5)
     mine.set_defaults(func=_cmd_mine)
 
     compare = sub.add_parser("compare", help="rules + thread -> scored rules file")
@@ -140,10 +162,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     synth = sub.add_parser("synth", help="generate a synthetic thread file")
     synth.add_argument("--out", type=Path, required=True)
-    synth.add_argument("--seed", type=_number(int), default=0)
+    synth.add_argument("--seed", type=int, default=0)
     synth.add_argument("--n-env", type=_positive_int, default=12)
     synth.add_argument("--t-max", type=_positive_int, default=60)
-    synth.add_argument("--density", type=_number(float), default=0.1)
+    synth.add_argument("--density", type=float, default=0.1)
     synth.add_argument(
         "--plant",
         action="append",
@@ -161,14 +183,14 @@ def _check_outputs(inputs: dict[str, Path], outputs: dict[str, Path | None]) -> 
 
     Both map the argument's name to its path, for the diagnostic.
     """
-    seen = {path.resolve(): f"{name} {path}" for name, path in inputs.items()}
+    seen = {path.resolve(): f"{name} {_named(path)}" for name, path in inputs.items()}
     for name, path in outputs.items():
         if path is None:
             continue
-        key = path.resolve()
+        key, named = path.resolve(), f"{name} {_named(path)}"
         if key in seen:
-            raise AptmineError(f"{name} {path} is the same file as {seen[key]}")
-        seen[key] = f"{name} {path}"
+            raise AptmineError(f"{named} is the same file as {seen[key]}")
+        seen[key] = named
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
@@ -265,13 +287,14 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _render_report(records) -> str:
+def _render_report(records) -> Iterator[str]:
     titles = ("No.", "precondition", "eps_avg", "p", "p*", "rho", "s", "eps_min", "eps_frac", "|R(r)|")
     groups: dict[str, list] = {}
     for record in records:
         groups.setdefault(record.consequence, []).append(record)
     if not groups:
-        return "  ".join(titles) + "\n"
+        yield "  ".join(titles)
+        return
     _, preconditions, avgs, mins, fracs, related, _, ps, p_stars, rhos, supports = zip(
         *(record for members in groups.values() for record in members)
     )
@@ -293,25 +316,24 @@ def _render_report(records) -> str:
     ]
     widths = [max(len(title), *map(len, column)) for title, column in zip(titles, columns)]
     row = "  ".join(f"{{:<{width}}}" for width in widths).format
-    rows = [line.rstrip() for line in map(row, *columns)]
-    lines = [row(*titles).rstrip()]
-    start = 0
+    rows = map(row, *columns)  # in group order
+    yield row(*titles).rstrip()
     for consequence, members in groups.items():
-        lines.append("")
-        lines.append(f"consequence: {consequence}")
-        lines.extend(rows[start : start + len(members)])
-        start += len(members)
-    return "\n".join(lines) + "\n"
+        yield ""
+        yield f"consequence: {consequence}"
+        for _ in members:
+            yield next(rows).rstrip()
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
     _check_outputs({"scored": args.scored}, {"--out": args.out})
     records, _ = load_scored(args.scored)
-    text = _render_report(records)
+    lines = _render_report(records)
     if args.out is None:
-        sys.stdout.write(text)
+        for line in lines:
+            print(line)
     else:
-        write_atomic(args.out, text)
+        write_atomic(args.out, lines)
         print(f"wrote report -> {args.out}")
     return 0
 
@@ -357,7 +379,11 @@ def main(argv: list[str] | None = None) -> int:
     except (AptmineError, ValueError, OSError) as exc:
         # ValueError covers semantic parameter validation (e.g. a planted
         # firing probability above 1) that argparse types cannot see.
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc)
+        if isinstance(exc, OSError) and exc.filename is not None:  # str(exc) quotes paths whole
+            names = (_named(name, repr) for name in (exc.filename, exc.filename2) if name is not None)
+            message = f"[Errno {exc.errno}] {exc.strerror}: {' -> '.join(names)}"
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

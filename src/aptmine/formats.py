@@ -7,12 +7,13 @@ tab-separated with numbers first and variable-length atom lists last;
 atom arguments cannot contain tabs, parens, or commas (enforced at
 interning), so the rendered form ``pred(a,b)`` needs no quoting.
 
-Writes are atomic: content is built in memory and moved into place, so a
-failed run leaves no partial output file.  Loaders accept numbers only in
-ASCII decimal (finite, integers unsigned), but not only as the writers
-spell them: leading zeros are read, and a period line may repeat an atom
-id or list its ids in any order.  They check ranges, and raise every fault
-as a FormatError naming path:line.
+Writes stream and are atomic: each formatter yields its lines, which go to
+a temp file that is then moved into place, so no writer holds a whole file
+in memory and a failed run leaves no partial output file.  Loaders accept
+numbers only in ASCII decimal (finite, integers unsigned), but not only as
+the writers spell them: leading zeros are read, and a period line may repeat
+an atom id or list its ids in any order.  They check ranges, and raise every
+fault as a FormatError naming path:line.
 
 Rules and scored files are read a line at a time: each line is split on
 tabs and its fields are checked in order.  Each distinct statistics text (p,
@@ -31,7 +32,7 @@ import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
 
 from .model import ArityError, AtomId, AtomRegistry, Conjunction, FormatError, Predicate, Thread
 from .stats import AptRule, RuleStats
@@ -49,8 +50,11 @@ UNSCORED = "na"
 # The decimal forms repr(float) writes; float() alone would also read a '+'
 # sign, '_', whitespace, non-ASCII digits, nan and inf.
 _FLOAT = re.compile(r"-?[0-9]+(?:\.[0-9]+)?(?:e[-+][0-9]+)?")
-# Diagnostics quote at most this many characters of a refused text.
+# Diagnostics quote at most this many characters of a refused text, in at
+# most _SHOWN bytes: 32 four-byte characters and a repr's two quotes.  A repr
+# spells an unprintable character in up to 10 bytes.
 _QUOTED = 32
+_SHOWN = 4 * _QUOTED + 2
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -71,14 +75,18 @@ def decode_utf8(path: str | Path, data: bytes) -> str:
         raise FormatError(f"{path}:{lineno}: not valid UTF-8 ({exc.reason})")
 
 
-def write_atomic(path: str | Path, text: str) -> None:
-    """Write text to path via a unique, fsynced temp file in the same directory.
+def write_atomic(path: str | Path, lines: Iterable[str]) -> None:
+    """Write each line and a "\\n" to a unique temp file beside path, then move it to path.
 
-    The temp file is created exclusively under a random name, so concurrent
-    writers never share one, and with mode 0o666 so the umask applies as it
-    would to a plain write (mkstemp would make it 0o600).  An OSError from
-    creating or renaming the temp file names the target, not the temp file.
+    The one place an artifact line is ended and encoded.  The temp file is
+    created exclusively under a random name, so concurrent writers never share
+    one, and with mode 0o666 so the umask applies as it would to a plain write
+    (mkstemp would make it 0o600); it is fsynced before the move.  If lines or
+    the encoder raise, it is removed and path is left as it was.  An OSError
+    from creating or renaming it names the target, not the temp file.
     """
+    if isinstance(lines, str):  # it would be written one character per line
+        raise TypeError("write_atomic takes an iterable of lines, not a str")
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     try:
@@ -87,7 +95,9 @@ def write_atomic(path: str | Path, text: str) -> None:
         raise OSError(exc.errno, exc.strerror, str(path)) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            for line in lines:
+                handle.write(line)
+                handle.write("\n")
             handle.flush()
             os.fsync(handle.fileno())
         try:
@@ -125,10 +135,16 @@ def _read_lines(path: str | Path, magic: str) -> tuple[list[str], dict[str, str]
 
 
 def _clipped(text: str, show=str) -> str:
-    """show(text), or show of its first _QUOTED characters and its length when longer."""
-    if len(text) <= _QUOTED:
+    """show(text), or show of a prefix of text and its length when text is longer.
+
+    The prefix is at most _QUOTED characters, cut back until it shows in _SHOWN bytes.
+    """
+    n = min(len(text), _QUOTED)
+    while len(show(text[:n]).encode("utf-8", "surrogatepass")) > _SHOWN:
+        n -= 1
+    if n == len(text):
         return show(text)
-    return f"{show(text[:_QUOTED])}... ({len(text)} characters)"
+    return f"{show(text[:n])}... ({len(text)} characters)"
 
 
 def _quoted(text: str) -> str:
@@ -164,26 +180,19 @@ def _names(registry: AtomRegistry) -> list[str]:
 # ---------------------------------------------------------------- threads
 
 
-def format_thread(thread: Thread, registry: AtomRegistry, params: Mapping[str, str]) -> str:
-    """Serialize a thread and its registry; exact inverse of parse_thread."""
-    env = registry.env_set
-    action = registry.action_set
-    for atom_id in action:
-        if atom_id not in env:
-            raise ValueError(
-                f"cannot serialize registry: action atom {atom_id} is not environmental"
-            )
-    if len(env) != len(registry):
+def format_thread(thread: Thread, registry: AtomRegistry, params: Mapping[str, str]) -> Iterator[str]:
+    """The lines of a thread and its registry; exact inverse of load_thread."""
+    if len(registry.env_set) != len(registry):
         raise ValueError("cannot serialize registry: every atom must be environmental")
-    lines = [THREAD_MAGIC, _params_line(params), f"atoms\t{len(registry)}"]
+    action = registry.action_set
+    yield from (THREAD_MAGIC, _params_line(params), f"atoms\t{len(registry)}")
     for atom_id in registry.ids():
         atom = registry.atom(atom_id)
         flag = "1" if atom_id in action else "0"
-        lines.append("\t".join([str(atom_id), atom.predicate.name, *atom.args, flag]))
-    lines.append(f"periods\t{thread.t_max}")
+        yield "\t".join([str(atom_id), atom.predicate.name, *atom.args, flag])
+    yield f"periods\t{thread.t_max}"
     for t in range(1, thread.t_max + 1):
-        lines.append(" ".join(map(str, sorted(thread.world(t)))))
-    return "\n".join(lines) + "\n"
+        yield " ".join(map(str, sorted(thread.world(t))))
 
 
 def save_thread(
@@ -313,12 +322,12 @@ def format_rules(
     rules: Iterable[tuple[AptRule, RuleStats]],
     registry: AtomRegistry,
     params: Mapping[str, str],
-) -> str:
+) -> Iterator[str]:
     names = _names(registry)
     rendered: dict[int, tuple[RuleStats, str]] = {}
-    lines = [RULES_MAGIC, _params_line(params)]
-    lines.extend("\t".join(_rule_fields(rule, stats, names, rendered)) for rule, stats in rules)
-    return "\n".join(lines) + "\n"
+    yield from (RULES_MAGIC, _params_line(params))
+    for rule, stats in rules:
+        yield "\t".join(_rule_fields(rule, stats, names, rendered))
 
 
 def save_rules(
@@ -388,10 +397,10 @@ def format_scored(
     ranked: Mapping[AtomId, list[ScoredRule]],
     registry: AtomRegistry,
     params: Mapping[str, str],
-) -> str:
+) -> Iterator[str]:
     names = _names(registry)
     rendered: dict[int, tuple[RuleStats, str]] = {}
-    lines = [SCORED_MAGIC, _params_line(params)]
+    yield from (SCORED_MAGIC, _params_line(params))
     for g in sorted(ranked):
         for sr in ranked[g]:
             eps = (
@@ -401,8 +410,7 @@ def format_scored(
             )
             counts = (str(sr.related_count), str(sr.never_separated_count))
             rule_fields = _rule_fields(sr.rule, sr.stats, names, rendered)
-            lines.append("\t".join([*eps, *counts, *rule_fields]))
-    return "\n".join(lines) + "\n"
+            yield "\t".join([*eps, *counts, *rule_fields])
 
 
 def save_scored(
@@ -456,12 +464,11 @@ def load_scored(path: str | Path) -> tuple[list[ScoredRecord], dict[str, str]]:
 
 def format_counts(
     count_series: Mapping[tuple[str, str], Iterable[int]], params: Mapping[str, str]
-) -> str:
-    lines = [COUNTS_MAGIC, _params_line(params)]
+) -> Iterator[str]:
+    yield from (COUNTS_MAGIC, _params_line(params))
     for (predicate, theater) in sorted(count_series):
         counts = count_series[(predicate, theater)]
-        lines.append("\t".join([predicate, theater, " ".join(str(c) for c in counts)]))
-    return "\n".join(lines) + "\n"
+        yield "\t".join([predicate, theater, " ".join(str(c) for c in counts)])
 
 
 def save_counts(
@@ -476,12 +483,11 @@ def save_counts(
 _DETAIL_SEPARATORS = str.maketrans(dict.fromkeys("\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029", " "))
 
 
-def format_rejects(rejects: Iterable[Reject], params: Mapping[str, str]) -> str:
-    lines = [REJECTS_MAGIC, _params_line(params)]
+def format_rejects(rejects: Iterable[Reject], params: Mapping[str, str]) -> Iterator[str]:
+    yield from (REJECTS_MAGIC, _params_line(params))
     for reject in rejects:
         detail = reject.detail.translate(_DETAIL_SEPARATORS)
-        lines.append("\t".join([str(reject.line), reject.reason, detail]))
-    return "\n".join(lines) + "\n"
+        yield "\t".join([str(reject.line), reject.reason, detail])
 
 
 def save_rejects(path: str | Path, rejects: Iterable[Reject], params: Mapping[str, str]) -> None:

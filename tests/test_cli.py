@@ -1,21 +1,25 @@
 """End-to-end command line tests, run through the real subprocess boundary."""
 
 import datetime as dt
+import io
+import operator
 import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from aptmine import ExtractParams, pf_rule_extract, save_rules, save_thread, t1_corpus
+from aptmine import ExtractParams, cli, pf_rule_extract, save_rules, save_thread, t1_corpus
 from aptmine.formats import RULES_MAGIC, SCORED_MAGIC, THREAD_MAGIC
 
 
-def run(*args):
+def run(*args, text=True):
     return subprocess.run(
         [sys.executable, "-m", "aptmine", *map(str, args)],
         capture_output=True,
-        text=True,
+        text=text,
     )
 
 
@@ -70,6 +74,7 @@ def test_mine_compare_report_on_the_worked_example(t1_thread, tmp_path):
     result = run("report", scored_path, "--out", out_path)
     assert result.returncode == 0
     assert "b()" in out_path.read_text()
+    assert out_path.read_bytes() == run("report", scored_path, text=False).stdout
 
 
 def test_compare_k_all_keeps_unscored(t1_thread, tmp_path):
@@ -395,6 +400,94 @@ def test_a_long_flag_value_is_quoted_briefly(tmp_path, command, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("length", [32, 5000])
+@pytest.mark.parametrize(
+    "case",
+    ["unrecognized-argument", "invalid-choice", "unknown-flag", "long-output-path", "output-is-input"],
+)
+def test_a_long_argument_is_quoted_briefly(t1_thread, tmp_path, case, length):
+    # The argument is `length` characters long; a path holds it as one part.
+    token = "x" * length
+    long_path = tmp_path / token
+    args = {
+        "unrecognized-argument": ["mine", t1_thread, "--out", tmp_path / "o.rules", token],
+        "invalid-choice": [token],
+        "unknown-flag": ["mine", t1_thread, "--out", tmp_path / "o.rules", f"--bogus-{token[8:]}"],
+        "long-output-path": ["mine", t1_thread, "--out", long_path / "y"],
+        "output-is-input": ["report", long_path, "--out", long_path],
+    }[case]
+    result = run(*args)
+    assert result.returncode in (1, 2), result.stderr[-300:]
+    last = result.stderr.splitlines()[-1]
+    assert len(last.encode()) <= 300, last[:300]
+    # Named whole when short, as argparse and OSError name it (a path of up to
+    # 120 bytes counts as short); clipped with its length when long.
+    assert (token[8:] in last and "characters)" not in last) == (length == 32), last
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t1.thread"]
+
+
+# A long or odd argument: a short text of any characters, or a short piece of
+# one repeated up to 10,000 characters.
+TOKENS = st.text(max_size=40) | st.builds(
+    operator.mul, st.text(min_size=1, max_size=4), st.integers(min_value=9, max_value=2500)
+)
+# Flags whose values are parsed before any file is read.  synth's --n-env and
+# --t-max are left out: a valid huge value would make synth run for long.
+FLAGS = (
+    [("mine", flag) for flag in ("--max-dim", "--supp-lb", "--min-prob")]
+    + [("compare", "--k")]
+    + [("ingest", flag) for flag in ("--period-days", "--window", "--epoch", "--thresholds", "--spike-series")]
+    + [("synth", flag) for flag in ("--seed", "--density", "--plant")]
+)
+
+
+@pytest.fixture(scope="module")
+def token_dir(tmp_path_factory):
+    """A directory holding the t1 thread, beside which nothing is ever written."""
+    path = tmp_path_factory.mktemp("tokens")
+    thread, registry = t1_corpus()
+    save_thread(path / "t1.thread", thread, registry, {"case": "t1"})
+    return path
+
+
+@settings(deadline=None)
+@given(token=TOKENS, place=st.sampled_from(["flag-value", "positional", "unknown-flag", "output-path"]),
+       data=st.data())
+def test_a_drawn_argument_fails_with_a_short_diagnostic(token_dir, token, place, data):
+    # Every command fails: its inputs are missing, or it writes under a missing
+    # directory.  So a valid token still exits 1, and nothing is ever written.
+    thread, missing = token_dir / "t1.thread", token_dir / "missing"
+    inputs = {
+        "mine": [missing / "in.thread"],
+        "compare": [missing / "in.rules", missing / "in.thread"],
+        "ingest": [missing / "events.csv", "--location-map", missing / "map.csv", "--epoch", "2014-06-08"],
+        "synth": [],
+    }
+    out = ["--out", missing / "never.out"]
+    if place == "flag-value":
+        command, flag = data.draw(st.sampled_from(FLAGS))
+        args = [command, *inputs[command], *out, f"{flag}={token}"]
+    elif place == "positional":
+        slot = data.draw(st.sampled_from(["command", "input", "extra"]))
+        assume(slot != "command" or not token.startswith("-"))  # that would be a flag
+        args = {"command": [token], "input": ["mine", *out, "--", token],
+                "extra": ["mine", thread, *out, "--", token]}[slot]
+    elif place == "unknown-flag":
+        args = ["mine", thread, *out, f"--bogus-{token}"]
+    else:  # joined as text: a token "/x" must not make the path absolute
+        args = ["mine", thread, "--out", f"{missing}/{token}/y", "--max-dim", "1"]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        try:
+            code = cli.main(list(map(str, args)))
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (1, 2), stderr.getvalue()[-300:]
+    last = stderr.getvalue().rstrip("\n").split("\n")[-1]
+    assert last and len(last.encode()) <= 300, last[:300]
+    assert sorted(p.name for p in token_dir.iterdir()) == ["t1.thread"]
+
+
 def test_compare_rejects_repeated_and_non_action_rules(t1_thread, tmp_path):
     rules_path = tmp_path / "t1.rules"
     assert run("mine", t1_thread, "--out", rules_path, "--max-dim", "2", "--supp-lb", "1").returncode == 0
@@ -553,6 +646,9 @@ def test_report_on_an_empty_scored_file(tmp_path):
     result = run("report", path)
     assert result.returncode == 0
     assert result.stdout.splitlines()[0].startswith("No.")
+    out_path = tmp_path / "report.txt"
+    assert run("report", path, "--out", out_path).returncode == 0
+    assert out_path.read_bytes() == run("report", path, text=False).stdout
 
 
 def test_report_rejects_a_scored_file_with_bad_numbers(t1_thread, tmp_path):

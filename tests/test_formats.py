@@ -3,6 +3,7 @@
 import datetime as dt
 import math
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -44,6 +45,11 @@ from conftest import corpora, random_corpus, random_params
 PARAMS = {"epoch": "2014-06-08", "window": "4"}
 
 
+def joined(lines):
+    """A formatter's lines as the file text write_atomic makes of them."""
+    return "".join(f"{line}\n" for line in lines)
+
+
 def registry_snapshot(registry):
     return (
         [str(registry.atom(a)) for a in registry.ids()],
@@ -74,7 +80,7 @@ def test_thread_round_trip_is_byte_exact(t1, tmp_path):
     assert params == PARAMS
     assert registry_snapshot(loaded_registry) == registry_snapshot(registry)
     assert loaded_registry.frozen
-    assert format_thread(loaded_thread, loaded_registry, params) == path.read_text()
+    assert joined(format_thread(loaded_thread, loaded_registry, params)) == path.read_text()
 
 
 def test_thread_round_trip_with_spike_atoms(tmp_path):
@@ -86,7 +92,7 @@ def test_thread_round_trip_with_spike_atoms(tmp_path):
     assert registry_snapshot(loaded_registry) == registry_snapshot(corpus.registry)
 
 
-def test_thread_refuses_half_marked_registries(t1):
+def test_thread_refuses_half_marked_registries(t1, tmp_path):
     thread = t1[0]
     registry = AtomRegistry()
     for name in ("a", "b", "g"):
@@ -94,12 +100,15 @@ def test_thread_refuses_half_marked_registries(t1):
     registry.mark_env(0)
     registry.mark_env(1)
     registry.mark_action(2)  # action but not environmental
-    with pytest.raises(ValueError, match="not environmental"):
-        format_thread(thread, registry, PARAMS)
+    with pytest.raises(ValueError, match="must be environmental"):
+        list(format_thread(thread, registry, PARAMS))
     registry2 = AtomRegistry()
     registry2.intern(Predicate("a", 0))  # not marked at all
     with pytest.raises(ValueError, match="must be environmental"):
-        format_thread(Thread([{0}]), registry2, PARAMS)
+        list(format_thread(Thread([{0}]), registry2, PARAMS))
+    with pytest.raises(ValueError, match="must be environmental"):
+        save_thread(tmp_path / "half.thread", thread, registry, PARAMS)
+    assert list(tmp_path.iterdir()) == []
 
 
 def tampered(tmp_path, t1, mutate):
@@ -357,9 +366,9 @@ def t1_artifacts():
     thread, registry = t1_corpus()
     report = pf_rule_extract(thread, registry, ExtractParams(max_dim=2, supp_lb=1))
     texts = {
-        "thread": format_thread(thread, registry, PARAMS),
-        "rules": format_rules(report.rules, registry, {}),
-        "scored": format_scored(pf_rule_compare(thread, report.rules), registry, {}),
+        "thread": joined(format_thread(thread, registry, PARAMS)),
+        "rules": joined(format_rules(report.rules, registry, {})),
+        "scored": joined(format_scored(pf_rule_compare(thread, report.rules), registry, {})),
     }
     return {kind: text.encode() for kind, text in texts.items()}
 
@@ -420,8 +429,8 @@ def test_scoring_keeps_each_line_s_spelling_of_a_statistic(tmp_path):
     path.write_bytes(with_fields("rules", edits)[1])
     rules, _ = load_rules(path, T1_REGISTRY)
     thread, registry = t1_corpus()
-    text = format_scored(pf_rule_compare(thread, rules), registry, {})
-    p_star = {tuple(f[11:]): f[6] for f in (line.split("\t") for line in text.splitlines()[2:])}
+    lines = list(format_scored(pf_rule_compare(thread, rules), registry, {}))
+    p_star = {tuple(f[11:]): f[6] for f in (line.split("\t") for line in lines[2:])}
     assert p_star == {("a()",): "-0.0", ("a()", "b()"): "0.0", ("b()",): "0.0"}
 
 
@@ -577,7 +586,7 @@ def test_respelled_period_tokens_load_the_same_worlds_or_name_the_bad_line(
     # before it were checked, the load must name its line and its text.
     thread, registry = corpus
     n = len(registry)
-    lines = format_thread(thread, registry, PARAMS).split("\n")
+    lines = joined(format_thread(thread, registry, PARAMS)).split("\n")
     zeros = st.integers(min_value=0, max_value=2).map("0".__mul__)
     bodies = []
     for t in range(1, thread.t_max + 1):
@@ -629,18 +638,41 @@ def test_the_first_faulty_line_names_the_diagnostic(tmp_path, kind, edits, messa
         load_artifact(path)
 
 
-def test_loaders_agree_with_the_per_line_checks_at_real_size(tmp_path):
-    # The sparse benchmark corpus: 12,702 rules sharing 27 statistics texts.
+@pytest.fixture(scope="module")
+def sparse_scored():
+    """The sparse benchmark corpus's registry, rules and every scored rule."""
     thread, registry = sparse_benchmark_corpus()
-    report = pf_rule_extract(thread, registry, ExtractParams())
+    rules = pf_rule_extract(thread, registry, ExtractParams()).rules
+    return registry, rules, pf_rule_compare(thread, rules, k=None)
+
+
+def test_loaders_agree_with_the_per_line_checks_at_real_size(tmp_path, sparse_scored):
+    # The sparse benchmark corpus: 12,702 rules sharing 27 statistics texts.
+    registry, mined, ranked = sparse_scored
     rules_path, scored_path = tmp_path / "sparse.rules", tmp_path / "sparse.scored"
-    save_rules(rules_path, report.rules, registry, {})
-    save_scored(scored_path, pf_rule_compare(thread, report.rules), registry, {})
+    save_rules(rules_path, mined, registry, {})
+    save_scored(scored_path, ranked, registry, {})
     rules, _ = load_rules(rules_path, registry)
     records, _ = load_scored(scored_path)
-    assert tuple(rules) == report.rules
+    assert tuple(rules) == mined
     assert len(rules) == len(records) == 12702
     assert len({id(stats) for _, stats in rules}) == 27  # one RuleStats per statistics text
+
+
+@pytest.mark.parametrize("kind", ["rules", "scored"])
+def test_writers_stream_their_lines(tmp_path, sparse_scored, kind):
+    # A writer that held its whole file (joined, then encoded) would peak at
+    # several times the bytes it writes; one that streams holds a few lines.
+    registry, rules, ranked = sparse_scored
+    path = tmp_path / f"sparse.{kind}"
+    save, records = (save_rules, rules) if kind == "rules" else (save_scored, ranked)
+    tracemalloc.start()
+    try:
+        save(path, records, registry, {})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 4, (peak, path.stat().st_size)
 
 
 @pytest.mark.parametrize(
@@ -704,8 +736,7 @@ def test_scored_round_trip_includes_unscored_na(tmp_path, t1):
 
 def test_counts_and_rejects_formats():
     counts = {("armedAtk", "Iraq"): (1, 3, 1), ("armedAtk", "Total"): (1, 3, 1)}
-    text = format_counts(counts, {"window": "4"})
-    assert text.splitlines() == [
+    assert list(format_counts(counts, {"window": "4"})) == [
         "aptmine-counts v1",
         "params\twindow=4",
         "armedAtk\tIraq\t1 3 1",
@@ -713,8 +744,7 @@ def test_counts_and_rejects_formats():
     ]
 
     rejects = [Reject(7, "unparseable date", "June\t8th\nish")]
-    text = format_rejects(rejects, {})
-    assert text.splitlines() == [
+    assert list(format_rejects(rejects, {})) == [
         "aptmine-rejects v1",
         "params",
         "7\tunparseable date\tJune 8th ish",
@@ -725,7 +755,7 @@ def test_rejects_keep_one_record_per_line():
     # The tab, then every line boundary str.splitlines() recognises.
     separators = "\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
     rejects = [Reject(n, "reserved character", f"bomb{ch}x") for n, ch in enumerate(separators, start=2)]
-    lines = format_rejects(rejects, {}).splitlines()
+    lines = joined(format_rejects(rejects, {})).splitlines()
     assert len(lines) == 2 + len(rejects)
     assert lines[2:] == [f"{n}\treserved character\tbomb x" for n in range(2, 2 + len(separators))]
 
@@ -734,8 +764,8 @@ def test_write_atomic_leaves_no_temp_files(tmp_path):
     target = tmp_path / "out.txt"
     foreign = tmp_path / "out.txt.tmp"  # another run's temp file
     foreign.write_text("not ours\n")
-    write_atomic(target, "first\n")
-    write_atomic(target, "second\n")
+    write_atomic(target, ["first"])
+    write_atomic(target, ["second"])
     assert target.read_text() == "second\n"
     assert foreign.read_text() == "not ours\n"
     assert sorted(tmp_path.iterdir()) == [target, foreign]
@@ -745,5 +775,29 @@ def test_write_atomic_leaves_no_temp_files(tmp_path):
 def test_write_atomic_removes_its_temp_file_on_failure(tmp_path):
     target = tmp_path / "out.txt"
     with pytest.raises(UnicodeEncodeError):
-        write_atomic(target, "\ud800")  # a lone surrogate cannot be encoded
+        write_atomic(target, ["\ud800"])  # a lone surrogate cannot be encoded
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("fault", ["raise", "surrogate"])
+def test_a_stream_that_fails_midway_leaves_the_target_as_it_was(tmp_path, fault):
+    target = tmp_path / "out.txt"
+    target.write_bytes(b"before\n")
+
+    def lines():
+        yield from (f"line {n}" for n in range(10_000))  # past the write buffer
+        if fault == "raise":
+            raise RuntimeError("the stream broke")
+        yield "\ud800"  # a lone surrogate cannot be encoded
+        yield "never written"
+
+    with pytest.raises(RuntimeError if fault == "raise" else UnicodeEncodeError):
+        write_atomic(target, lines())
+    assert target.read_bytes() == b"before\n"
+    assert list(tmp_path.iterdir()) == [target]
+
+
+def test_write_atomic_refuses_a_bare_str(tmp_path):
+    with pytest.raises(TypeError, match="not a str"):
+        write_atomic(tmp_path / "out.txt", "text")  # would be written one character per line
     assert list(tmp_path.iterdir()) == []

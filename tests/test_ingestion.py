@@ -364,10 +364,10 @@ def test_built_corpus_is_independent_of_event_order():
         shuffled = list(events)
         rng.shuffle(shuffled)
         corpus, rejects = build_corpus(shuffled, config())
-        text = format_thread(corpus.thread, corpus.registry, {"case": "shuffle"})
+        lines = list(format_thread(corpus.thread, corpus.registry, {"case": "shuffle"}))
         if reference is None:
-            reference = text, rejects
-        assert (text, rejects) == reference
+            reference = lines, rejects
+        assert (lines, rejects) == reference
     assert [(r.line, r.reason) for r in rejects] == [
         (10, "uninternable atom"), (11, "date before epoch"), (12, "unmapped location")
     ]

@@ -255,8 +255,8 @@ def outcome(ingest):
         corpus, rejects = ingest()
     except (EmptyCorpusError, ValueError) as exc:
         return type(exc)
-    text = format_thread(corpus.thread, corpus.registry, {})
-    return text, dict(corpus.count_series), rejects
+    lines = list(format_thread(corpus.thread, corpus.registry, {}))
+    return lines, dict(corpus.count_series), rejects
 
 
 @settings(max_examples=300, deadline=None)
