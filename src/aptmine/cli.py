@@ -21,6 +21,7 @@ from .causality import pf_rule_compare
 from .extraction import ExtractParams, pf_rule_extract
 from .formats import (
     _clipped,
+    _named,
     _quoted,
     load_rules,
     load_scored,
@@ -105,14 +106,6 @@ class _Parser(argparse.ArgumentParser):
         for part in sorted(parts, key=len, reverse=True):
             message = message.replace(repr(part), _quoted(part)).replace(part, _clipped(part))
         super().error(message)
-
-
-def _named(path: str | Path, show=str) -> str:
-    """show(path) whole while that takes at most 120 bytes, else clipped by formats._clipped."""
-    shown = show(str(path))
-    if len(shown.encode("utf-8", "surrogatepass")) <= 120:
-        return shown
-    return _clipped(str(path), show)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -220,11 +213,11 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     except EmptyCorpusError as exc:
         rejects = sorted([*parse_rejects, *exc.rejects])
         if not rejects:
-            raise EmptyCorpusError(f"{args.events}: the file has no event rows") from None
+            raise EmptyCorpusError(f"{_named(args.events)}: the file has no event rows") from None
         first = rejects[0]
         detail = _clipped(" ".join(first.detail.splitlines()))  # a quoted line break stays in its cell
         raise EmptyCorpusError(
-            f"{args.events}: all {len(rejects)} rows rejected; "
+            f"{_named(args.events)}: all {len(rejects)} rows rejected; "
             f"first: line {first.line}, {first.reason} {detail}"
         ) from None
 

@@ -12,8 +12,9 @@ a temp file that is then moved into place, so no writer holds a whole file
 in memory and a failed run leaves no partial output file.  Loaders accept
 numbers only in ASCII decimal (finite, integers unsigned), but not only as
 the writers spell them: leading zeros are read, and a period line may repeat
-an atom id or list its ids in any order.  They check ranges, and raise every
-fault as a FormatError naming path:line.
+an atom id or list its ids in any order.  They check ranges.  A loader words
+each fault as a ValueError, and one handler makes it the FormatError of _at,
+which names path:line with the path named as cli names one (_named).
 
 Rules and scored files are read a line at a time: each line is split on
 tabs and its fields are checked in order.  Each distinct statistics text (p,
@@ -72,7 +73,7 @@ def decode_utf8(path: str | Path, data: bytes) -> str:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
-        raise FormatError(f"{path}:{lineno}: not valid UTF-8 ({exc.reason})")
+        raise _at(path, lineno, f"not valid UTF-8 ({exc.reason})") from None
 
 
 def write_atomic(path: str | Path, lines: Iterable[str]) -> None:
@@ -119,28 +120,28 @@ def _read_lines(path: str | Path, magic: str) -> tuple[list[str], dict[str, str]
     if lines and lines[-1] == "":
         lines.pop()
     if not lines or lines[0] != magic:
-        raise FormatError(f"{path}:1: expected first line {magic!r}")
+        raise _at(path, 1, f"expected first line {magic!r}")
     head, *parts = lines[1].split("\t") if len(lines) > 1 else [""]
     if head != "params":
-        raise FormatError(f"{path}:2: expected a params line after the version line")
+        raise _at(path, 2, "expected a params line after the version line")
     params: dict[str, str] = {}
     for part in parts:
         key, sep, value = part.partition("=")
         if not sep:
-            raise FormatError(f"{path}:2: malformed params entry {_quoted(part)}")
+            raise _at(path, 2, f"malformed params entry {_quoted(part)}")
         if key in params:
-            raise FormatError(f"{path}:2: params repeat the key {_quoted(key)}")
+            raise _at(path, 2, f"params repeat the key {_quoted(key)}")
         params[key] = value
     return lines[2:], params
 
 
-def _clipped(text: str, show=str) -> str:
+def _clipped(text: str, show=str, shown: int = _SHOWN) -> str:
     """show(text), or show of a prefix of text and its length when text is longer.
 
-    The prefix is at most _QUOTED characters, cut back until it shows in _SHOWN bytes.
+    The prefix is at most _QUOTED characters, cut back until it shows in shown bytes.
     """
     n = min(len(text), _QUOTED)
-    while len(show(text[:n]).encode("utf-8", "surrogatepass")) > _SHOWN:
+    while len(show(text[:n]).encode("utf-8", "surrogatepass")) > shown:
         n -= 1
     if n == len(text):
         return show(text)
@@ -152,24 +153,35 @@ def _quoted(text: str) -> str:
     return _clipped(text, repr)
 
 
-def _uint(path: str | Path, lineno: int, text: str, what: str) -> int:
-    """A non-negative integer field, written in ASCII decimal digits only."""
+def _named(path: str | Path, show=str) -> str:
+    """show(path) whole while that takes at most 120 bytes, else clipped by _clipped to as many."""
+    text = str(path)
+    if len(show(text).encode("utf-8", "surrogatepass")) <= 120:
+        return show(text)
+    return _clipped(text, show, 120 - len(f"... ({len(text)} characters)"))
+
+
+def _at(path: str | Path, lineno: int, exc: object) -> FormatError:
+    """The FormatError for a fault on line lineno of path, the path named as _named names it."""
+    return FormatError(f"{_named(path)}:{lineno}: {exc}")
+
+
+def _uint(text: str, what: str, echo: bool = True) -> int:
+    """A non-negative integer field, written in ASCII decimal digits only; a fault quotes it if echo."""
     form = "in ASCII digits"
     if text.isascii() and text.isdigit():
         try:
             return int(text)
         except ValueError:  # longer than int() reads
             form = f"of at most {sys.get_int_max_str_digits()} digits"
-    raise FormatError(f"{path}:{lineno}: {what} must be integers {form}, got {_quoted(text)}")
+    raise ValueError(f"{what} must be integers {form}" + (f", got {_quoted(text)}" if echo else ""))
 
 
-def _float(path: str | Path, lineno: int, text: str, what: str) -> float:
+def _float(text: str, what: str) -> float:
     """A finite float field in the ASCII decimal form repr(float) writes."""
     if _FLOAT.fullmatch(text) and math.isfinite(value := float(text)):
         return value
-    raise FormatError(
-        f"{path}:{lineno}: {what} must be finite decimal numbers, got {_quoted(text)}"
-    )
+    raise ValueError(f"{what} must be finite decimal numbers, got {_quoted(text)}")
 
 
 def _names(registry: AtomRegistry) -> list[str]:
@@ -204,64 +216,61 @@ def save_thread(
 def load_thread(path: str | Path) -> tuple[Thread, AtomRegistry, dict[str, str]]:
     """Parse a thread file back into a frozen registry and thread."""
     lines, params = _read_lines(path, THREAD_MAGIC)
-    if not lines or not lines[0].startswith("atoms\t"):
-        raise FormatError(f"{path}:3: expected an atoms section")
-    n_atoms = _parse_count(path, 3, lines[0])
-    if len(lines) < 1 + n_atoms + 1:
-        raise FormatError(f"{path}:3: truncated atoms section")
     registry = AtomRegistry()
-    for lineno, line in enumerate(lines[1 : 1 + n_atoms], start=4):
-        fields = line.split("\t")
-        if len(fields) < 3:
-            raise FormatError(f"{path}:{lineno}: malformed atom line {_quoted(line)}")
-        declared, name, *rest = fields
-        args, flag = rest[:-1], rest[-1]
-        if flag not in ("0", "1"):
-            raise FormatError(f"{path}:{lineno}: atom flag must be 0 or 1, got {_quoted(flag)}")
-        try:
-            atom_id = registry.intern(Predicate(name, len(args)), args)
-        except (ValueError, ArityError) as exc:
-            raise FormatError(f"{path}:{lineno}: {exc}")
-        if atom_id != lineno - 4:  # interning found the atom already held
-            raise FormatError(f"{path}:{lineno}: repeats the atom on line {atom_id + 4}")
-        if str(atom_id) != declared:
-            raise FormatError(
-                f"{path}:{lineno}: atom ids must be dense and ascending, got {_quoted(declared)}"
-            )
-        registry.mark_env(atom_id)
-        if flag == "1":
-            registry.mark_action(atom_id)
-    period_lineno = 4 + n_atoms
-    period_line = lines[1 + n_atoms]
-    if not period_line.startswith("periods\t"):
-        raise FormatError(f"{path}:{period_lineno}: expected a periods section")
-    t_max = _parse_count(path, period_lineno, period_line)
-    if t_max == 0:
-        raise FormatError(f"{path}:{period_lineno}: a thread must contain at least one world")
-    body = lines[2 + n_atoms :]
-    if len(body) != t_max:
-        expected, found = _clipped(str(t_max)), len(body)
-        raise FormatError(f"{path}:{period_lineno}: expected {expected} period lines, found {found}")
     # Each distinct token text is checked once, where first met; a line's new
     # texts are all read as integers before any is checked against the atoms.
     ids: dict[str, int] = {}
     worlds = []
-    for lineno, line in enumerate(body, start=period_lineno + 1):
-        texts = line.split()
-        new = {t: _uint(path, lineno, t, "period atom ids") for t in texts if t not in ids}
-        for atom_id in new.values():
-            if atom_id >= n_atoms:
-                unknown = _clipped(str(atom_id))
-                raise FormatError(f"{path}:{lineno}: period references unknown atom id {unknown}")
-        ids.update(new)
-        worlds.append([ids[t] for t in texts])
+    lineno = 3
+    try:
+        if not lines or not lines[0].startswith("atoms\t"):
+            raise ValueError("expected an atoms section")
+        n_atoms = _parse_count(lines[0])
+        if len(lines) < 1 + n_atoms + 1:
+            raise ValueError("truncated atoms section")
+        for lineno, line in enumerate(lines[1 : 1 + n_atoms], start=4):
+            fields = line.split("\t")
+            if len(fields) < 3:
+                raise ValueError(f"malformed atom line {_quoted(line)}")
+            declared, name, *rest = fields
+            args, flag = rest[:-1], rest[-1]
+            if flag not in ("0", "1"):
+                raise ValueError(f"atom flag must be 0 or 1, got {_quoted(flag)}")
+            atom_id = registry.intern(Predicate(name, len(args)), args)
+            if atom_id != lineno - 4:  # interning found the atom already held
+                raise ValueError(f"repeats the atom on line {atom_id + 4}")
+            if str(atom_id) != declared:
+                raise ValueError(f"atom ids must be dense and ascending, got {_quoted(declared)}")
+            registry.mark_env(atom_id)
+            if flag == "1":
+                registry.mark_action(atom_id)
+        lineno = 4 + n_atoms
+        period_line = lines[1 + n_atoms]
+        if not period_line.startswith("periods\t"):
+            raise ValueError("expected a periods section")
+        t_max = _parse_count(period_line)
+        if t_max == 0:
+            raise ValueError("a thread must contain at least one world")
+        body = lines[2 + n_atoms :]
+        if len(body) != t_max:
+            raise ValueError(f"expected {_clipped(str(t_max))} period lines, found {len(body)}")
+        for lineno, line in enumerate(body, start=lineno + 1):
+            texts = line.split()
+            new = {t: _uint(t, "period atom ids") for t in texts if t not in ids}
+            for atom_id in new.values():
+                if atom_id >= n_atoms:
+                    raise ValueError(f"period references unknown atom id {_clipped(str(atom_id))}")
+            ids.update(new)
+            worlds.append([ids[t] for t in texts])
+    except (ValueError, ArityError) as exc:
+        raise _at(path, lineno, exc) from None
     registry.freeze()
     return Thread(worlds), registry, params
 
 
-def _parse_count(path: str | Path, lineno: int, line: str) -> int:
-    what = f"malformed section header {_quoted(line)}: counts"
-    return _uint(path, lineno, line.partition("\t")[2], what)
+def _parse_count(line: str) -> int:
+    """The count on an atoms or periods header line; a fault quotes the line, and not again its count."""
+    return _uint(line.partition("\t")[2], f"malformed section header {_quoted(line)}: counts", echo=False)
 
 
 # ------------------------------------------------------------------ rules
@@ -289,7 +298,7 @@ def _rule_fields(
 
 
 def _parse_rule_fields(
-    path: str | Path, lineno: int, fields: list[str], stats_by_text: dict[tuple[str, ...], RuleStats]
+    fields: list[str], stats_by_text: dict[tuple[str, ...], RuleStats]
 ) -> tuple[RuleStats, str, tuple[str, ...]]:
     """Inverse of _rule_fields: the range-checked stats, consequence text and atom texts.
 
@@ -300,21 +309,16 @@ def _parse_rule_fields(
     key = tuple(fields[:4])
     stats = stats_by_text.get(key)
     if stats is None:
-        p, p_star, rho = [_float(path, lineno, f, "rule statistics") for f in fields[:3]]
-        supp = _uint(path, lineno, fields[3], "rule counts")
-    dim = _uint(path, lineno, fields[5], "rule counts")
+        p, p_star, rho = [_float(f, "rule statistics") for f in fields[:3]]
+        supp = _uint(fields[3], "rule counts")
+    dim = _uint(fields[5], "rule counts")
     atoms = tuple(fields[6:])
     if dim != len(atoms):
-        dim_text = _clipped(str(dim))
-        raise FormatError(f"{path}:{lineno}: rule dimension {dim_text} != {len(atoms)} atoms")
+        raise ValueError(f"rule dimension {_clipped(str(dim))} != {len(atoms)} atoms")
     if len(set(atoms)) != dim:
-        joined = _clipped(" & ".join(atoms))
-        raise FormatError(f"{path}:{lineno}: precondition repeats an atom: {joined}")
+        raise ValueError(f"precondition repeats an atom: {_clipped(' & '.join(atoms))}")
     if stats is None:
-        try:
-            stats = stats_by_text[key] = RuleStats(p, p_star, rho, supp)
-        except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: {exc}")
+        stats = stats_by_text[key] = RuleStats(p, p_star, rho, supp)
     return stats, fields[4], atoms
 
 
@@ -353,24 +357,26 @@ def load_rules(
     stats_by_text: dict[tuple[str, ...], RuleStats] = {}
     first_line: dict[AptRule, int] = {}
     out: list[tuple[AptRule, RuleStats]] = []
-    for lineno, line in enumerate(lines, start=3):
-        fields = line.split("\t")
-        if len(fields) < 7:
-            raise FormatError(f"{path}:{lineno}: malformed rule line {_quoted(line)}")
-        stats, consequence, atoms = _parse_rule_fields(path, lineno, fields, stats_by_text)
-        try:
-            rule = AptRule(Conjunction([resolve[a] for a in atoms]), resolve[consequence])
-        except KeyError as exc:
-            unknown = _quoted(exc.args[0])
-            raise FormatError(f"{path}:{lineno}: unknown atom {unknown} for this thread")
-        except ValueError:
-            where, quoted = f"{path}:{lineno}", _quoted(consequence)
-            raise FormatError(f"{where}: rule consequence {quoted} may not appear in its own precondition")
-        if rule.consequence not in action:
-            raise FormatError(f"{path}:{lineno}: consequence {_clipped(consequence)} is not an action atom")
-        if first_line.setdefault(rule, lineno) != lineno:
-            raise FormatError(f"{path}:{lineno}: duplicate rule, first on line {first_line[rule]}")
-        out.append((rule, stats))
+    try:
+        for lineno, line in enumerate(lines, start=3):
+            fields = line.split("\t")
+            if len(fields) < 7:
+                raise ValueError(f"malformed rule line {_quoted(line)}")
+            stats, consequence, atoms = _parse_rule_fields(fields, stats_by_text)
+            try:
+                rule = AptRule(Conjunction([resolve[a] for a in atoms]), resolve[consequence])
+            except KeyError as exc:
+                raise ValueError(f"unknown atom {_quoted(exc.args[0])} for this thread")
+            except ValueError:
+                quoted = _quoted(consequence)
+                raise ValueError(f"rule consequence {quoted} may not appear in its own precondition")
+            if rule.consequence not in action:
+                raise ValueError(f"consequence {_clipped(consequence)} is not an action atom")
+            if first_line.setdefault(rule, lineno) != lineno:
+                raise ValueError(f"duplicate rule, first on line {first_line[rule]}")
+            out.append((rule, stats))
+    except ValueError as exc:
+        raise _at(path, lineno, exc) from None
     return out, params
 
 
@@ -422,24 +428,22 @@ def save_scored(
     write_atomic(path, format_scored(ranked, registry, params))
 
 
-def _parse_eps(
-    path: str | Path, lineno: int, fields: list[str]
-) -> tuple[float | None, float | None, float | None, int, int]:
+def _parse_eps(fields: list[str]) -> tuple[float | None, float | None, float | None, int, int]:
     """The scored-only columns: eps_avg, eps_min, eps_frac, related, never_separated."""
-    related_count, never_separated = [_uint(path, lineno, f, "scored counts") for f in fields[3:]]
+    related_count, never_separated = [_uint(f, "scored counts") for f in fields[3:]]
     if never_separated > related_count:
         never, related = _clipped(str(never_separated)), _clipped(str(related_count))
-        raise FormatError(f"{path}:{lineno}: never_separated {never} exceeds related {related}")
+        raise ValueError(f"never_separated {never} exceeds related {related}")
     if fields[:3] == [UNSCORED] * 3:
         if related_count:
-            raise FormatError(f"{path}:{lineno}: an unscored rule must have related 0")
+            raise ValueError("an unscored rule must have related 0")
         return None, None, None, 0, 0
     if not related_count:
-        raise FormatError(f"{path}:{lineno}: a rule related to nothing must be unscored")
-    eps = [_float(path, lineno, f, "eps values") for f in fields[:3]]
+        raise ValueError("a rule related to nothing must be unscored")
+    eps = [_float(f, "eps values") for f in fields[:3]]
     for name, value, low in zip(("eps_avg", "eps_min", "eps_frac"), eps, (-1.0, -1.0, 0.0)):
         if not low <= value <= 1.0:
-            raise FormatError(f"{path}:{lineno}: {name} must lie in [{low:g}, 1], got {value!r}")
+            raise ValueError(f"{name} must lie in [{low:g}, 1], got {value!r}")
     return eps[0], eps[1], eps[2], related_count, never_separated
 
 
@@ -448,14 +452,17 @@ def load_scored(path: str | Path) -> tuple[list[ScoredRecord], dict[str, str]]:
     lines, params = _read_lines(path, SCORED_MAGIC)
     stats_by_text: dict[tuple[str, ...], RuleStats] = {}
     records: list[ScoredRecord] = []
-    for lineno, line in enumerate(lines, start=3):
-        fields = line.split("\t")
-        if len(fields) < 12:
-            raise FormatError(f"{path}:{lineno}: malformed scored line {_quoted(line)}")
-        eps_and_counts = _parse_eps(path, lineno, fields[:5])
-        stats, consequence, atoms = _parse_rule_fields(path, lineno, fields[5:], stats_by_text)
-        numbers = stats.p, stats.p_star, stats.rho, stats.support
-        records.append(ScoredRecord(consequence, atoms, *eps_and_counts, *numbers))
+    try:
+        for lineno, line in enumerate(lines, start=3):
+            fields = line.split("\t")
+            if len(fields) < 12:
+                raise ValueError(f"malformed scored line {_quoted(line)}")
+            eps_and_counts = _parse_eps(fields[:5])
+            stats, consequence, atoms = _parse_rule_fields(fields[5:], stats_by_text)
+            numbers = stats.p, stats.p_star, stats.rho, stats.support
+            records.append(ScoredRecord(consequence, atoms, *eps_and_counts, *numbers))
+    except ValueError as exc:
+        raise _at(path, lineno, exc) from None
     return records, params
 
 

@@ -27,7 +27,7 @@ import re
 from dataclasses import dataclass, field
 from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
 
-from .formats import Reject, _clipped, _quoted, decode_utf8
+from .formats import Reject, _at, _clipped, _named, _quoted, decode_utf8
 from .model import RESERVED_CHAR, AptmineError, AtomRegistry, FormatError, Predicate, Thread
 
 EXPECTED_HEADER = ("date", "predicate", "arg1", "arg2", "actor")
@@ -143,12 +143,12 @@ def _csv_rows(source: BinaryIO, where: str) -> Iterator[tuple[int, list[str]]]:
             yield line, row
             line = reader.line_num + 1
     except csv.Error as exc:
-        raise FormatError(f"{where}:{reader.line_num}: {exc}") from None
+        raise _at(where, reader.line_num, exc) from None
     except UnicodeDecodeError as exc:
         if source.seekable():
             source.seek(0)
             decode_utf8(where, source.read())  # raises, naming the first bad line
-        raise FormatError(f"{where}: not valid UTF-8 ({exc.reason})") from None
+        raise FormatError(f"{_named(where)}: not valid UTF-8 ({exc.reason})") from None
     finally:
         if not source.closed:  # else the caller closed it before this generator was finalised
             text.detach()  # a dropped wrapper would close the caller's stream
@@ -186,9 +186,9 @@ def parse_events(source: BinaryIO) -> tuple[list[EventRecord], list[Reject]]:
     try:
         _, header = next(reader)
     except StopIteration:
-        raise FormatError(f"{where}:1: event file is empty, expected header {expected}")
+        raise _at(where, 1, f"event file is empty, expected header {expected}") from None
     if tuple(h.strip() for h in header) != EXPECTED_HEADER:
-        raise FormatError(f"{where}:1: bad header {_clipped(repr(header))}, expected {expected}")
+        raise _at(where, 1, f"bad header {_clipped(repr(header))}, expected {expected}")
 
     records: list[EventRecord] = []
     rejects: list[Reject] = []
@@ -232,12 +232,12 @@ def load_location_map(source: BinaryIO) -> dict[str, str]:
         if not row:
             continue
         if len(row) != 2:
-            raise FormatError(f"{where}:{line}: expected city,theater, got {_clipped(repr(row))}")
+            raise _at(where, line, f"expected city,theater, got {_clipped(repr(row))}")
         city, theater = (cell.strip() for cell in row)
         if theater not in THEATERS:
-            raise FormatError(f"{where}:{line}: theater must be one of {THEATERS}, got {_quoted(theater)}")
+            raise _at(where, line, f"theater must be one of {THEATERS}, got {_quoted(theater)}")
         if city in mapping and mapping[city] != theater:
-            raise FormatError(f"{where}:{line}: conflicting theater for {_quoted(city)}")
+            raise _at(where, line, f"conflicting theater for {_quoted(city)}")
         mapping[city] = theater
     return mapping
 

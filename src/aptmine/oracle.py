@@ -20,7 +20,7 @@ from itertools import combinations
 from typing import Iterable, Mapping
 
 from .extraction import ExtractParams, subset_count
-from .formats import Reject
+from .formats import Reject, _clipped
 from .ingestion import BuiltCorpus, CorpusConfig, EmptyCorpusError
 from .model import (
     AptmineError,
@@ -440,7 +440,7 @@ class PlantedRule:
         if not 0.0 <= self.fire_prob <= 1.0:
             raise ValueError(f"fire_prob must lie in [0, 1], got {self.fire_prob}")
         if self.placements < 1:
-            raise ValueError(f"placements must be positive, got {self.placements}")
+            raise ValueError(f"placements must be positive, got {_clipped(str(self.placements))}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -470,9 +470,8 @@ class SynthSpec:
             if any(not 0 <= i < self.n_env for i in plant.precondition):
                 raise ValueError("planted precondition indices out of range")
             if plant.placements > self.t_max - 1:
-                raise ValueError(
-                    f"cannot place {plant.placements} firings in {self.t_max - 1} slots"
-                )
+                placements = _clipped(str(plant.placements))
+                raise ValueError(f"cannot place {placements} firings in {self.t_max - 1} slots")
 
 
 def generate_synthetic(spec: SynthSpec) -> BuiltCorpus:

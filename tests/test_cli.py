@@ -7,12 +7,34 @@ import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from conftest import corpora
 from hypothesis import assume, given, settings, strategies as st
+from test_oracle import MAP_TEXT, event_csvs
 
-from aptmine import ExtractParams, cli, pf_rule_extract, save_rules, save_thread, t1_corpus
-from aptmine.formats import RULES_MAGIC, SCORED_MAGIC, THREAD_MAGIC
+from aptmine import (
+    ExtractParams,
+    cli,
+    pf_rule_compare,
+    pf_rule_extract,
+    save_rules,
+    save_scored,
+    save_thread,
+    t1_corpus,
+)
+from aptmine.formats import (
+    REJECTS_MAGIC,
+    RULES_MAGIC,
+    SCORED_MAGIC,
+    THREAD_MAGIC,
+    _named,
+    _read_lines,
+    load_rules,
+    load_scored,
+    load_thread,
+)
 
 
 def run(*args, text=True):
@@ -21,6 +43,17 @@ def run(*args, text=True):
         capture_output=True,
         text=text,
     )
+
+
+def run_in_process(*args):
+    """(exit code, stdout, stderr) of cli.main on the args; argparse's exit gives its code."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        try:
+            code = cli.main(list(map(str, args)))
+        except SystemExit as exc:
+            code = exc.code
+    return code, stdout.getvalue(), stderr.getvalue()
 
 
 @pytest.fixture
@@ -486,6 +519,147 @@ def test_a_drawn_argument_fails_with_a_short_diagnostic(token_dir, token, place,
     last = stderr.getvalue().rstrip("\n").split("\n")[-1]
     assert last and len(last.encode()) <= 300, last[:300]
     assert sorted(p.name for p in token_dir.iterdir()) == ["t1.thread"]
+
+
+def test_two_clipped_paths_fit_one_line(tmp_path, monkeypatch):
+    # A clipped path takes at most 120 bytes, its length included, even when
+    # each character takes four.
+    monkeypatch.chdir(tmp_path)
+    path = "\U0001F600" * 40
+    code, _, stderr = run_in_process("report", path, "--out", path)
+    assert code == 1
+    assert stderr.count("\n") == 1 and len(stderr.encode()) <= 300, stderr
+    assert stderr.count("... (40 characters)") == 2, stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_section_header_is_quoted_once(t1_thread, tmp_path, monkeypatch):
+    lines = t1_thread.read_text().splitlines()
+    lines[2] = "atoms\t" + "\U0001F600" * 40
+    monkeypatch.chdir(tmp_path)
+    Path("t.thread").write_text("\n".join(lines) + "\n")
+    code, _, stderr = run_in_process("mine", "t.thread", "--out", "never.rules")
+    assert code == 1
+    assert stderr.startswith("error: t.thread:3: malformed section header 'atoms\\t"), stderr
+    assert stderr.count("\n") == 1 and len(stderr.encode()) <= 300, stderr
+    assert stderr.count("\U0001F600") < 32, stderr  # its count is not quoted again
+    assert not Path("never.rules").exists()
+
+
+@pytest.mark.parametrize("sign", ["", "-"], ids=["positive", "negative"])
+def test_a_long_plant_count_is_quoted_briefly(tmp_path, sign):
+    out = tmp_path / "never.thread"
+    code, _, stderr = run_in_process("synth", "--out", out, "--plant", f"0:0.5:{sign}{'9' * 4000}")
+    assert code == 1, stderr[-300:]
+    last = stderr.rstrip("\n").split("\n")[-1]
+    assert "characters)" in last and len(last.encode()) <= 300, last[:300]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["thread", "rules", "scored", "events", "location-map", "bad-utf-8"])
+def test_a_long_input_path_is_named_briefly(t1_thread, tmp_path, kind):
+    # About 3,000 characters, in nested directories: each name stays under NAME_MAX.
+    deep = tmp_path.joinpath(*(f"{i:02d}" + "d" * 98 for i in range(29)))
+    deep.mkdir(parents=True)
+    (tmp_path / "events.csv").write_text("date,predicate,arg1,arg2,actor\n2014-06-08,recon,Mosul,,\n")
+    (tmp_path / "locations.csv").write_text("Mosul,Iraq\n")
+    bad = deep / "input"
+    bad.write_bytes(b"\xff\n" if kind == "bad-utf-8" else b"not,an,artifact\n")
+    ingest = ["--epoch", "2014-06-08"]
+    args = {
+        "thread": ["mine", bad],
+        "rules": ["compare", bad, t1_thread],
+        "scored": ["report", bad],
+        "events": ["ingest", bad, "--location-map", tmp_path / "locations.csv", *ingest],
+        "location-map": ["ingest", tmp_path / "events.csv", "--location-map", bad, *ingest],
+        "bad-utf-8": ["mine", bad],
+    }[kind]
+    out = tmp_path / "never.out"
+    result = run(*args, "--out", out)
+    assert result.returncode == 1
+    assert result.stderr.count("\n") == 1 and len(result.stderr.encode()) <= 300, result.stderr[:300]
+    assert result.stderr.startswith(f"error: {_named(bad)}:1: "), result.stderr[:300]
+    assert not out.exists()
+
+
+# A drawn fault in a valid input file.
+_NUMBER = re.compile(rb"[0-9]+(?:\.[0-9]+)?(?:e[-+][0-9]+)?")
+_RESPELLINGS = [b"", b"007", b"+3", b"-1", b"1_0", "\u0663".encode(), b"1e3", b"3.0", b"nan", b"inf",
+                b" 3", b"9" * 30, b"9" * 4301]
+_INSERTS = [b"\x00", b"\t", b"\r", "\u0663".encode(), b"\xff"]
+
+
+def _faulty(data, blob: bytes) -> bytes:
+    """blob with one drawn fault: a line dropped, repeated or swapped, a cut, an
+    inserted byte or character, a field grown to 10**5 characters or a respelled number."""
+    fault = data.draw(st.sampled_from(["drop", "repeat", "swap", "cut", "insert", "grow", "respell"]))
+    if fault in ("drop", "repeat", "swap"):
+        lines = blob.split(b"\n")  # the last is the empty text after the final line break
+        i = data.draw(st.integers(min_value=0, max_value=len(lines) - 2))
+        lines[i : i + 2] = {"drop": lines[i + 1 : i + 2], "repeat": [lines[i], *lines[i : i + 2]],
+                            "swap": lines[i : i + 2][::-1]}[fault]
+        return b"\n".join(lines)
+    if fault == "cut":
+        return blob[: data.draw(st.integers(min_value=0, max_value=len(blob) - 1))]
+    if fault == "insert":
+        at = data.draw(st.integers(min_value=0, max_value=len(blob)))
+        return blob[:at] + data.draw(st.sampled_from(_INSERTS)) + blob[at:]
+    if fault == "grow":
+        spans = [m.span() for m in re.finditer(rb"[^\t\n\r, ]+", blob)]
+        start, end = data.draw(st.sampled_from(spans))
+        text = blob[start:end].decode("utf-8")
+        grown = (text * (10**5 // len(text) + 1))[: 10**5].encode("utf-8")
+        return blob[:start] + grown + blob[end:]
+    spans = [m.span() for m in _NUMBER.finditer(blob)]
+    assume(spans)
+    start, end = data.draw(st.sampled_from(spans))
+    return blob[:start] + data.draw(st.sampled_from(_RESPELLINGS)) + blob[end:]
+
+
+@settings(deadline=None, max_examples=150)
+@given(kind=st.sampled_from(["thread", "rules", "scored", "events", "location-map"]), data=st.data())
+def test_a_faulty_input_file_fails_with_a_short_diagnostic(tmp_path_factory, kind, data):
+    directory = tmp_path_factory.mktemp("faulty")
+    out = directory / "out"
+    if kind in ("events", "location-map"):
+        events, locations = directory / "events.csv", directory / "locations.csv"
+        events.write_bytes(data.draw(event_csvs())[1])
+        locations.write_text(MAP_TEXT)
+        target = events if kind == "events" else locations
+        args = ["ingest", events, "--location-map", locations, "--epoch", "2014-06-08"]
+    else:
+        thread, registry = data.draw(corpora())
+        files = {name: directory / f"in.{name}" for name in ("thread", "rules", "scored")}
+        save_thread(files["thread"], thread, registry, {})
+        rules = pf_rule_extract(thread, registry, ExtractParams(max_dim=2, supp_lb=1, min_prob=0.25)).rules
+        save_rules(files["rules"], rules, registry, {})
+        save_scored(files["scored"], pf_rule_compare(thread, rules), registry, {})
+        target = files[kind]
+        args = {"thread": ["mine", target], "rules": ["compare", target, files["thread"]],
+                "scored": ["report", target]}[kind]
+    target.write_bytes(_faulty(data, target.read_bytes()))
+    inputs = sorted(p.name for p in directory.iterdir())
+    code, _, stderr = run_in_process(*args, "--out", out)
+    assert code in (0, 1), stderr[-300:]
+    if code == 1:
+        assert stderr.count("\n") == 1 and len(stderr.encode()) <= 301, stderr[:300]
+        named = f"error: {_named(target)}:"
+        if kind in ("events", "location-map"):
+            # An ingest left with no usable row names the events file, and no
+            # line, whichever file held the fault.
+            assert stderr.startswith((named, f"error: {_named(events)}: ")), stderr[:300]
+        else:
+            assert re.match(rf"{re.escape(named)}[0-9]+: ", stderr), stderr[:300]
+        assert sorted(p.name for p in directory.iterdir()) == inputs
+    elif kind in ("events", "location-map"):
+        load_thread(out)
+        _read_lines(f"{out}.rejects", REJECTS_MAGIC)
+    elif kind == "thread":
+        load_rules(out, load_thread(target)[1])
+    elif kind == "rules":
+        load_scored(out)
+    else:
+        assert out.read_text(encoding="utf-8").startswith("No.")
 
 
 def test_compare_rejects_repeated_and_non_action_rules(t1_thread, tmp_path):
