@@ -20,9 +20,7 @@ from . import __version__
 from .causality import pf_rule_compare
 from .extraction import ExtractParams, pf_rule_extract
 from .formats import (
-    _clipped,
     _named,
-    _quoted,
     load_rules,
     load_scored,
     load_thread,
@@ -42,7 +40,7 @@ from .ingestion import (
     parse_date,
     parse_events,
 )
-from .model import AptmineError
+from .model import AptmineError, _clipped, _quoted
 
 
 def _parse_thresholds(text: str) -> tuple[float, ...]:
@@ -216,6 +214,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
             raise EmptyCorpusError(f"{_named(args.events)}: the file has no event rows") from None
         first = rejects[0]
         detail = _clipped(" ".join(first.detail.splitlines()))  # a quoted line break stays in its cell
+        if first.reason == "unmapped location":
+            detail += f", not in --location-map {_named(args.location_map)}"
         raise EmptyCorpusError(
             f"{_named(args.events)}: all {len(rejects)} rows rejected; "
             f"first: line {first.line}, {first.reason} {detail}"

@@ -35,7 +35,17 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
 
-from .model import ArityError, AtomId, AtomRegistry, Conjunction, FormatError, Predicate, Thread
+from .model import (
+    ArityError,
+    AtomId,
+    AtomRegistry,
+    Conjunction,
+    FormatError,
+    Predicate,
+    Thread,
+    _clipped,
+    _quoted,
+)
 from .stats import AptRule, RuleStats
 
 if TYPE_CHECKING:
@@ -51,11 +61,6 @@ UNSCORED = "na"
 # The decimal forms repr(float) writes; float() alone would also read a '+'
 # sign, '_', whitespace, non-ASCII digits, nan and inf.
 _FLOAT = re.compile(r"-?[0-9]+(?:\.[0-9]+)?(?:e[-+][0-9]+)?")
-# Diagnostics quote at most this many characters of a refused text, in at
-# most _SHOWN bytes: 32 four-byte characters and a repr's two quotes.  A repr
-# spells an unprintable character in up to 10 bytes.
-_QUOTED = 32
-_SHOWN = 4 * _QUOTED + 2
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -133,24 +138,6 @@ def _read_lines(path: str | Path, magic: str) -> tuple[list[str], dict[str, str]
             raise _at(path, 2, f"params repeat the key {_quoted(key)}")
         params[key] = value
     return lines[2:], params
-
-
-def _clipped(text: str, show=str, shown: int = _SHOWN) -> str:
-    """show(text), or show of a prefix of text and its length when text is longer.
-
-    The prefix is at most _QUOTED characters, cut back until it shows in shown bytes.
-    """
-    n = min(len(text), _QUOTED)
-    while len(show(text[:n]).encode("utf-8", "surrogatepass")) > shown:
-        n -= 1
-    if n == len(text):
-        return show(text)
-    return f"{show(text[:n])}... ({len(text)} characters)"
-
-
-def _quoted(text: str) -> str:
-    """repr(text), clipped as _clipped clips."""
-    return _clipped(text, repr)
 
 
 def _named(path: str | Path, show=str) -> str:

@@ -8,6 +8,11 @@ bad header, CSV syntax or UTF-8 is a hard failure.  Corpora are independent
 of the input row order: each distinct atom is interned once, by (first
 period, predicate, args), so equal event multisets yield bit-identical threads.
 
+Parsed events are held as columns (EventTable): each distinct date and
+(predicate, args) name once, and per row two indexes and a CSV line in typed
+arrays, about 16 bytes a row.  A record read from the table is built when
+asked and shares its date, predicate and args objects with the table.
+
 A period spikes at threshold k when its count reaches the trailing moving
 average plus k moving (population) standard deviations, and strictly
 exceeds the moving average.  The window covers the previous ``window``
@@ -24,11 +29,21 @@ import datetime as dt
 import io
 import math
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
+from typing import BinaryIO, Iterable, Iterator, Mapping
 
-from .formats import Reject, _at, _clipped, _named, _quoted, decode_utf8
-from .model import RESERVED_CHAR, AptmineError, AtomRegistry, FormatError, Predicate, Thread
+from .formats import Reject, _at, _named, decode_utf8
+from .model import (
+    RESERVED_CHAR,
+    AptmineError,
+    AtomRegistry,
+    FormatError,
+    Predicate,
+    Thread,
+    _clipped,
+    _quoted,
+)
 
 EXPECTED_HEADER = ("date", "predicate", "arg1", "arg2", "actor")
 THEATERS = ("Iraq", "Syria")
@@ -53,6 +68,44 @@ class EventRecord:
     predicate: str
     args: tuple[str, ...]
     line: int
+
+
+class EventTable(Sequence[EventRecord]):
+    """Events held as columns, in row order: per row, the index of its date in
+    ``dates``, the index of its (predicate, args) in ``names`` and its CSV line.
+
+    ``dates`` and ``names`` hold each distinct value once, and each is used by
+    at least one row.  Indexing or iterating builds an EventRecord only when
+    asked, and it shares its date, predicate and args objects with every other
+    record of the table that spells them the same way.
+    """
+
+    __slots__ = ("dates", "names", "date_index", "name_index", "lines")
+
+    def __init__(self, records: Iterable[EventRecord] = ()) -> None:
+        from array import array  # here so that the commands that build no table skip it
+
+        self.date_index, self.name_index, self.lines = array("I"), array("I"), array("q")
+        # A dict keeps the first key it was given, so these keep the first record's objects.
+        date_slots: dict[dt.date, int] = {}
+        name_slots: dict[tuple[str, tuple[str, ...]], int] = {}
+        for record in records:
+            self.date_index.append(date_slots.setdefault(record.date, len(date_slots)))
+            self.name_index.append(name_slots.setdefault((record.predicate, record.args), len(name_slots)))
+            self.lines.append(record.line)
+        self.dates: list[dt.date] = list(date_slots)
+        self.names: list[tuple[str, tuple[str, ...]]] = list(name_slots)
+
+    def __len__(self) -> int:
+        return len(self.lines)
+
+    def __getitem__(self, i: int) -> EventRecord:
+        return EventRecord(self.dates[self.date_index[i]], *self.names[self.name_index[i]], self.lines[i])
+
+    def __iter__(self) -> Iterator[EventRecord]:
+        dates, names = self.dates, self.names
+        for d, n, line in zip(self.date_index, self.name_index, self.lines):
+            yield EventRecord(dates[d], *names[n], line)
 
 
 @dataclass(frozen=True, slots=True)
@@ -168,14 +221,15 @@ def _name_reject(row: list[str], predicate: str, arg1: str, arg2: str) -> tuple[
     return None
 
 
-def parse_events(source: BinaryIO) -> tuple[list[EventRecord], list[Reject]]:
+def parse_events(source: BinaryIO) -> tuple[EventTable, list[Reject]]:
     """Read the event CSV: header ``date,predicate,arg1,arg2,actor``.
 
-    Returns the parsed records and the rejects.  Raises FormatError only
-    for a missing or malformed header, an unreadable row or bad UTF-8,
-    naming the stream's file and line; every other bad row becomes a reject.
-    A date text or a (predicate, arguments) triple is checked the first time
-    it is seen, so records share their ``date``, ``predicate`` and ``args``
+    Returns the parsed events, held as an EventTable's columns, and the
+    rejects.  Raises FormatError only for a missing or malformed header, an
+    unreadable row or bad UTF-8, naming the stream's file and line; every
+    other bad row becomes a reject.  A date text or a (predicate, arguments)
+    triple is checked the first time it is seen and stored once, so records
+    read from the table share their ``date``, ``predicate`` and ``args``
     objects with every other record that spells them the same way.  A text
     that fails is never remembered: each row that repeats it is rejected
     with its own line and detail.
@@ -190,10 +244,11 @@ def parse_events(source: BinaryIO) -> tuple[list[EventRecord], list[Reject]]:
     if tuple(h.strip() for h in header) != EXPECTED_HEADER:
         raise _at(where, 1, f"bad header {_clipped(repr(header))}, expected {expected}")
 
-    records: list[EventRecord] = []
+    table = EventTable()
     rejects: list[Reject] = []
-    dates: dict[str, dt.date] = {}
-    names: dict[tuple[str, str, str], tuple[str, tuple[str, ...]]] = {}  # -> (predicate, args)
+    date_slots: dict[str, int] = {}  # a date text -> its index in table.dates
+    name_slots: dict[tuple[str, str, str], int] = {}  # (predicate, arg1, arg2) -> its index in table.names
+    add_date, add_name, add_line = table.date_index.append, table.name_index.append, table.lines.append
     for line, row in reader:
         if not row:
             continue
@@ -201,24 +256,29 @@ def parse_events(source: BinaryIO) -> tuple[list[EventRecord], list[Reject]]:
             rejects.append(Reject(line, "wrong field count", ",".join(row)))
             continue
         raw_date = row[0].strip()
-        date = dates.get(raw_date)
-        if date is None:
+        d = date_slots.get(raw_date)
+        if d is None:
             try:
-                date = dates[raw_date] = parse_date(raw_date)
+                date = parse_date(raw_date)
             except ValueError:
                 rejects.append(Reject(line, "unparseable date", raw_date))
                 continue
+            d = date_slots[raw_date] = len(table.dates)
+            table.dates.append(date)
         key = (row[1].strip(), row[2].strip(), row[3].strip())
-        name = names.get(key)
-        if name is None:
+        n = name_slots.get(key)
+        if n is None:
             why = _name_reject(row, *key)
             if why is not None:
                 rejects.append(Reject(line, *why))
                 continue
             predicate, arg1, arg2 = key
-            name = names[key] = (predicate, tuple(a for a in (arg1, arg2) if a))
-        records.append(EventRecord(date, name[0], name[1], line))
-    return records, rejects
+            n = name_slots[key] = len(table.names)
+            table.names.append((predicate, tuple(a for a in (arg1, arg2) if a)))
+        add_date(d)
+        add_name(n)
+        add_line(line)
+    return table, rejects
 
 
 def load_location_map(source: BinaryIO) -> dict[str, str]:
@@ -281,63 +341,68 @@ def build_corpus(
 
     Period index is floor((date - epoch) / period_days) + 1; events dated
     before the epoch are rejected.  Each distinct date is bucketed, and each
-    distinct (predicate, args) located, once.  Worlds are sets, so repeated
-    identical events only influence the count series.  Spike atoms (named
-    ``<predicate>Spike(theater, <k>sigma)``) form the action set and are
-    also environmental.  Rejects come back in CSV line order.
+    distinct (predicate, args) located, once; the rows are then read as
+    EventTable columns, so any other iterable of records is first put in one.
+    Worlds are sets, so repeated identical events only influence the count
+    series.  Spike atoms (named ``<predicate>Spike(theater, <k>sigma)``)
+    form the action set and are also environmental.  Rejects come back in
+    CSV line order.
     """
-    events = list(events)
-    if not events:
+    table = events if isinstance(events, EventTable) else EventTable(events)
+    if not table:
         raise EmptyCorpusError("no events to build a corpus from")
 
-    predicates = {e.predicate for e in events}
+    predicates = {predicate for predicate, _ in table.names}
     series_predicates = set(config.spike_series) if config.spike_series is not None else predicates
     unknown = sorted(series_predicates - predicates)
     if unknown:
         raise ValueError(f"spike_series names predicates that no event has: {_clipped(', '.join(unknown))}")
 
+    period_of = []  # per distinct date: its period, 0 before the epoch
+    for date in table.dates:
+        days = (date - config.epoch).days
+        period_of.append(days // config.period_days + 1 if days >= 0 else 0)
+    unmapped: list[str | None] = []  # per distinct name: the location a series name has no theater for
+    for predicate, args in table.names:
+        # Convention: the last argument names the location.
+        location = args[-1] if args else None
+        theater = config.location_map.get(location) if location else None
+        missing = predicate in series_predicates and theater is None
+        unmapped.append((location or "<no location>") if missing else None)
+
     rejects: list[Reject] = []
-    periods_of: dict[dt.date, int] = {}  # date -> its period, 0 before the epoch
-    groups: dict[tuple[str, tuple[str, ...]], list[int]] = {}  # -> the period of each row
-    for event in events:
-        period = periods_of.get(event.date)
-        if period is None:
-            days = (event.date - config.epoch).days
-            period = periods_of[event.date] = days // config.period_days + 1 if days >= 0 else 0
+    groups: list[list[int]] = [[] for _ in table.names]  # per distinct name: the period of each row
+    for d, n, line in zip(table.date_index, table.name_index, table.lines):
+        period = period_of[d]
         if not period:
-            rejects.append(Reject(event.line, "date before epoch", event.date.isoformat()))
-            continue
-        group = groups.get((event.predicate, event.args))
-        if group is None:  # a new atom, or one whose location is unmapped
-            # Convention: the last argument names the location.
-            location = event.args[-1] if event.args else None
-            theater = config.location_map.get(location) if location else None
-            if event.predicate in series_predicates and theater is None:
-                rejects.append(Reject(event.line, "unmapped location", location or "<no location>"))
-                continue
-            group = groups[event.predicate, event.args] = []
-        group.append(period)
+            rejects.append(Reject(line, "date before epoch", table.dates[d].isoformat()))
+        elif unmapped[n] is not None:
+            rejects.append(Reject(line, "unmapped location", unmapped[n]))
+        else:
+            groups[n].append(period)
 
     registry = AtomRegistry()
     interned = []
-    failed: dict[tuple[str, tuple[str, ...]], str] = {}
+    failed: dict[int, str] = {}  # a name's index -> why it could not be interned
     # Canonical order: atom ids follow (first period, predicate, args), not row order.
-    atoms = sorted(groups.items(), key=lambda group: (min(group[1]), group[0]))
-    for (predicate, args), periods in atoms:
+    order = sorted((n for n, periods in enumerate(groups) if periods),
+                   key=lambda n: (min(groups[n]), table.names[n]))
+    for n in order:
+        predicate, args = table.names[n]
         try:
             atom = registry.intern(Predicate(predicate, len(args)), args)
         except (AptmineError, ValueError) as exc:
             # Arity conflicts and reserved characters both land here; rows
             # that came through parse_events can only hit the arity case.
-            failed[predicate, args] = str(exc)
+            failed[n] = str(exc)
             continue
         registry.mark_env(atom)
-        interned.append((atom, predicate, args, periods))
-    if failed:  # every row of such an atom that got this far
+        interned.append((atom, predicate, args, groups[n]))
+    if failed:  # every row of such a name that got this far
         rejects.extend(
-            Reject(event.line, "uninternable atom", failed[event.predicate, event.args])
-            for event in events
-            if (event.predicate, event.args) in failed and periods_of[event.date]
+            Reject(line, "uninternable atom", failed[n])
+            for d, n, line in zip(table.date_index, table.name_index, table.lines)
+            if n in failed and period_of[d]
         )
     if not interned:
         raise EmptyCorpusError("every event was rejected", rejects)
@@ -354,7 +419,7 @@ def build_corpus(
             counts = raw_counts.setdefault((predicate, config.location_map[args[-1]]), [0] * t_max)
             for period in periods:
                 counts[period - 1] += 1
-    del groups, atoms, interned  # the per-row periods, freed before the thread is built
+    del groups, interned  # the per-row periods, freed before the thread is built
 
     count_series: dict[tuple[str, str], tuple[int, ...]] = {}
     zeros = [0] * t_max

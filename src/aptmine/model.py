@@ -46,12 +46,39 @@ class FormatError(AptmineError):
 RESERVED = "(),\t\n\r"
 RESERVED_CHAR = re.compile(f"[{re.escape(RESERVED)}]")
 
+# Diagnostics quote at most this many characters of a refused text, in at
+# most _SHOWN bytes: 32 two-byte (or 16 four-byte) characters and a repr's two
+# quotes.  So "error: <path>:<line>: " with a path of up to 120 bytes, up to 66
+# bytes of wording, and one quoted text with its "... (N characters)" fit in
+# 300 bytes while the line and N have at most 10 digits.  A repr spells an
+# unprintable character in up to 10 bytes.
+_QUOTED = 32
+_SHOWN = 2 * _QUOTED + 2
+
+
+def _clipped(text: str, show=str, shown: int = _SHOWN) -> str:
+    """show(text), or show of a prefix of text and its length when text is longer.
+
+    The prefix is at most _QUOTED characters, cut back until it shows in shown bytes.
+    """
+    n = min(len(text), _QUOTED)
+    while len(show(text[:n]).encode("utf-8", "surrogatepass")) > shown:
+        n -= 1
+    if n == len(text):
+        return show(text)
+    return f"{show(text[:n])}... ({len(text)} characters)"
+
+
+def _quoted(text: str) -> str:
+    """repr(text), clipped as _clipped clips."""
+    return _clipped(text, repr)
+
 
 def _check_token(kind: str, value: str) -> str:
     if not isinstance(value, str) or not value:
         raise ValueError(f"{kind} must be a non-empty string, got {value!r}")
     if RESERVED_CHAR.search(value):
-        raise ValueError(f"{kind} {value!r} contains a reserved character (one of {RESERVED!r})")
+        raise ValueError(f"{kind} {_quoted(value)} contains a reserved character (one of {RESERVED!r})")
     return value
 
 
@@ -135,7 +162,7 @@ class AtomRegistry:
         known = self._arities.get(predicate.name)
         if known is not None and known != predicate.arity:
             raise ArityError(
-                f"predicate {predicate.name!r} already registered with arity {known}, "
+                f"predicate {_quoted(predicate.name)} already registered with arity {known}, "
                 f"got arity {predicate.arity}"
             )
         existing = self._ids.get(atom)

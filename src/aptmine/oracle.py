@@ -20,7 +20,7 @@ from itertools import combinations
 from typing import Iterable, Mapping
 
 from .extraction import ExtractParams, subset_count
-from .formats import Reject, _clipped
+from .formats import Reject
 from .ingestion import BuiltCorpus, CorpusConfig, EmptyCorpusError
 from .model import (
     AptmineError,
@@ -32,6 +32,8 @@ from .model import (
     Predicate,
     RESERVED,
     Thread,
+    _clipped,
+    _quoted,
 )
 from .stats import AptRule, rule_sort_key
 
@@ -373,7 +375,7 @@ def reference_ingest(
         arity = arities.setdefault(predicate, len(args))
         if arity != len(args):
             detail = (
-                f"predicate {predicate!r} already registered with arity {arity}, "
+                f"predicate {_quoted(predicate)} already registered with arity {arity}, "
                 f"got arity {len(args)}"
             )
             build_rejects.append(Reject(line, "uninternable atom", detail))

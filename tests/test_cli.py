@@ -228,6 +228,23 @@ def test_ingest_diagnostics_name_the_file_and_line(tmp_path, events, locations, 
     assert not out.exists()
 
 
+def test_an_ingest_left_with_only_unmapped_rows_names_the_location_map(tmp_path):
+    (tmp_path / "events.csv").write_text("date,predicate,arg1,arg2,actor\n"
+                                         "2014-06-08,recon,Mosul,,\n2014-06-09,recon,Raqqa,,\n")
+    (tmp_path / "locations.csv").write_text("Baghdad,Iraq\n")
+    out = tmp_path / "never.thread"
+    result = run(
+        "ingest", tmp_path / "events.csv", "--location-map", tmp_path / "locations.csv",
+        "--epoch", "2014-06-08", "--out", out,
+    )
+    assert result.returncode == 1
+    assert result.stderr == (
+        f"error: {_named(tmp_path / 'events.csv')}: all 2 rows rejected; first: line 2, unmapped location "
+        f"Mosul, not in --location-map {_named(tmp_path / 'locations.csv')}\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "date, flags",
     [("2014-06-08", ["--epoch", "2014-06-08", "--period-days", "10000000"]),
@@ -582,6 +599,39 @@ def test_a_long_input_path_is_named_briefly(t1_thread, tmp_path, kind):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "kind", ["unknown-atom", "malformed-rule-line", "reserved-character", "arity-conflict"]
+)
+def test_a_diagnostic_under_a_120_byte_path_fits_one_line(t1_thread, tmp_path, kind):
+    # The path shows whole, and a quoted text of 40 four-byte characters is
+    # clipped so that the line still takes at most 300 bytes.
+    text = "\U0001F600" * 40
+    suffix = "/x.rules" if kind in ("unknown-atom", "malformed-rule-line") else "/x.thread"
+    bad = Path(str(tmp_path / "d") + "d" * (120 - len(str(tmp_path / "d")) - len(suffix)) + suffix)
+    bad.parent.mkdir()
+    assert len(str(bad).encode()) == 120
+    if kind in ("unknown-atom", "malformed-rule-line"):
+        thread, registry = t1_corpus()
+        rules = pf_rule_extract(thread, registry, ExtractParams()).rules
+        save_rules(bad, rules, registry, {})
+        head, first, *_ = bad.read_text().split("\n")[1:]
+        line = first.rsplit("\t", 1)[0] + "\t" + text if kind == "unknown-atom" else text
+        bad.write_text(f"{RULES_MAGIC}\n{head}\n{line}\n")
+        args = ["compare", bad, t1_thread]
+    else:
+        atoms = f"0\t({text}\t1" if kind == "reserved-character" else f"0\t{text}\t1\n1\t{text}\ta\t1"
+        n_atoms = atoms.count("\n") + 1
+        bad.write_text(f"{THREAD_MAGIC}\nparams\natoms\t{n_atoms}\n{atoms}\nperiods\t1\n0\n")
+        args = ["mine", bad]
+    out = tmp_path / "never.out"
+    code, _, stderr = run_in_process(*args, "--out", out)
+    assert code == 1
+    assert stderr.startswith(f"error: {bad}:"), stderr
+    assert stderr.count("\n") == 1 and len(stderr.encode()) <= 300, (len(stderr.encode()), stderr)
+    assert "... (4" in stderr, stderr  # the text is clipped with its length
+    assert not out.exists()
+
+
 # A drawn fault in a valid input file.
 _NUMBER = re.compile(rb"[0-9]+(?:\.[0-9]+)?(?:e[-+][0-9]+)?")
 _RESPELLINGS = [b"", b"007", b"+3", b"-1", b"1_0", "\u0663".encode(), b"1e3", b"3.0", b"nan", b"inf",
@@ -859,8 +909,8 @@ def modules_after(statement):
 
 def test_cli_import_leaves_the_oracle_and_fractions_unloaded():
     # Only synth uses the oracle, only spike detection needs fractions (which loads decimal),
-    # and only ingest reads CSV.
-    assert not modules_after("import aptmine.cli") & {"aptmine.oracle", "fractions", "decimal", "csv"}
+    # and only ingest reads CSV into an event table's arrays.
+    assert not modules_after("import aptmine.cli") & {"aptmine.oracle", "fractions", "decimal", "csv", "array"}
 
 
 def test_formats_import_loads_only_the_model_and_stats():

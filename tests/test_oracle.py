@@ -285,9 +285,12 @@ def test_engine_ingest_matches_the_reference(source, period_days, window, thresh
         spike_series=spike_series,
     )
 
-    def engine():
+    def engine(adapt):
         records, parse_rejects = parse_events(io.BytesIO(data))
-        corpus, build_rejects = build_corpus(records, config)
+        corpus, build_rejects = build_corpus(adapt(records), config)
         return corpus, [*parse_rejects, *build_rejects]
 
-    assert outcome(engine) == outcome(lambda: reference_ingest(text, MAP_TEXT, config))
+    expected = outcome(lambda: reference_ingest(text, MAP_TEXT, config))
+    assert outcome(lambda: engine(lambda table: table)) == expected
+    # Materialised records take the adapter path: build_corpus puts them in a table.
+    assert outcome(lambda: engine(list)) == expected
