@@ -186,11 +186,10 @@ def test_parse_events_keeps_little_per_row():
     gc.collect()
     tracemalloc.start()
     try:
-        result = parse_events(data)
+        events, rejects = parse_events(data)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    events, rejects = result
     assert len(events) == 20_000 and rejects == []
     assert held <= 40 * 20_000, held / 20_000
 
